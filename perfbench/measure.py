@@ -1,4 +1,5 @@
-"""Arithmetic the benchmark reports: percentiles, failure share, digests.
+"""Arithmetic the benchmark reports: percentiles, failure share, digests,
+and the host-speed yardstick its timings are read against.
 
 Kept free of the program's imports so its tests run in milliseconds.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 
 __all__ = [
     "percentile",
@@ -15,6 +17,9 @@ __all__ = [
     "canonical_bytes",
     "digest",
     "read_peak_rss_mb",
+    "reference_work",
+    "REFERENCE_SECONDS",
+    "HostClock",
 ]
 
 
@@ -81,3 +86,68 @@ def read_peak_rss_mb(pid: int | str = "self") -> float:
             if line.startswith("VmHWM:"):
                 return int(line.split()[1]) / 1024.0
     raise RuntimeError(f"no VmHWM line for process {pid}")
+
+
+def reference_work() -> float:
+    """A fixed task of the benchmark's own: the yardstick of host speed.
+
+    Interpreter-bound scalar work and small-array numpy calls, the same
+    mix the program's fits are made of.  Nothing in it depends on the
+    program, so a change to the program cannot move it.
+    """
+    import numpy as np
+
+    total = 0
+    for i in range(40_000):
+        total += i * i
+    grid = np.linspace(0.1, 1.0, 64)
+    acc = 0.0
+    for i in range(500):
+        acc += float(np.exp(grid * (i * 1e-3)).sum())
+    return total + acc
+
+
+# Seconds one reference_work() call takes on the reference machine (a
+# 2-vCPU Xeon VM at 2.0 GHz, Python 3.11, numpy 2) when no other tenant
+# contends for its core: the fastest of many calls.
+REFERENCE_SECONDS = 0.0036
+
+
+class HostClock:
+    """Reads wall times against a yardstick of host speed.
+
+    On a host shared with other tenants the speed of a core changes by
+    tens of percent from one second to the next, for seconds to minutes
+    at a time.  The clock runs :func:`reference_work` right before and
+    right after each timed call.  ``REFERENCE_SECONDS`` over the mean of
+    the two reference times is the call's *scale*: wall seconds times
+    scale are the call's cost in seconds of the reference machine,
+    uncontended, and read the same whether the host was fast or slow
+    around the call.  A change to the program moves the call and not
+    the yardstick.
+    """
+
+    def __init__(self) -> None:
+        self.reference_seconds = 0.0
+
+    def _reference(self) -> float:
+        start = time.perf_counter()
+        reference_work()
+        seconds = time.perf_counter() - start
+        self.reference_seconds += seconds
+        return seconds
+
+    def time(self, call) -> tuple[object, float, float]:
+        """``(call(), its wall seconds, its scale)``."""
+        before = self._reference()
+        start = time.perf_counter()
+        result = call()
+        wall = time.perf_counter() - start
+        after = self._reference()
+        return result, wall, REFERENCE_SECONDS / ((before + after) / 2)
+
+    def cost(self, call) -> tuple[object, float]:
+        """``(call(), its cost in reference-machine seconds)``."""
+        result, wall, scale = self.time(call)
+        return result, wall * scale
+

@@ -1,32 +1,20 @@
-"""The benchmark's metric declarations and the per-layer arithmetic.
+"""The per-layer arithmetic: which spans and counts make which metrics.
 
-``END_TO_END`` and ``PER_LAYER`` are the single source of the metric
-names, units and directions; ``BENCHMARK.json`` must list the same ones
-(the benchmark's tests check that).  Per-layer values are *per pass*
-(see ``workloads.py`` for what a pass holds).
+``BENCHMARK.json`` declares the metrics' names, units and directions;
+this module only groups the tracer's spans and counts into them.
+Per-layer values are *per pass* (see ``workloads.py`` for what a pass
+holds).
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "END_TO_END",
-    "PER_LAYER",
     "EXACT",
     "STRUCTURAL",
     "delta",
     "exact_view",
     "layer_values",
 ]
-
-# (name, unit, better, bound)
-END_TO_END = (
-    ("setup_s", "s", "lower", 0.25),
-    ("ops_per_s", "1/s", "higher", 0.25),
-    ("op_p50_ms", "ms", "lower", 0.25),
-    ("op_p90_ms", "ms", "lower", 0.25),
-    ("ok_frac", "fraction", "higher", 0.01),
-    ("peak_rss_mb", "MiB", "lower", 0.2),
-)
 
 # Spans whose call count and busy time are reported.
 _CALLS = (
@@ -78,34 +66,6 @@ STRUCTURAL = frozenset(
     set(_SERVE_COUNTS)
     | {"stats.kernels.passes", "sampling.sample_skg.calls", "kronmom.fit_statistics.calls"}
 )
-
-PER_LAYER = (
-    tuple(
-        (name, "count", "lower")
-        for name in sorted(f"{span}.calls" for span in _CALLS)
-    )
-    + tuple((f"{span}.busy_s", "s", "lower") for span in _BUSY)
-    + tuple((f"{span}.self_s", "s", "lower") for span in _SELF)
-    + tuple((name, "count", "lower") for name in _COUNTS)
-    + (
-        ("likelihood.accept_ratio", "ratio", "higher"),
-        ("runtime.parallel_efficiency", "ratio", "higher"),
-        ("serve.hit_p50_ms", "ms", "lower"),
-        ("serve.sample_p50_ms", "ms", "lower"),
-        ("serve.fit_p50_ms", "ms", "lower"),
-        ("serve.release_p50_ms", "ms", "lower"),
-        ("serve.cache_hits", "count", "higher"),
-        ("serve.cache_misses", "count", "lower"),
-        ("serve.models_fitted", "count", "lower"),
-        ("serve.rejected_429", "count", "lower"),
-        ("serve.graphs_per_s", "1/s", "higher"),
-        ("failed_frac", "fraction", "lower"),
-        ("trace.ops_per_s_untraced", "1/s", "higher"),
-        ("trace.ops_per_s_traced", "1/s", "higher"),
-        ("trace.overhead_ops_per_s", "1/s", "higher"),
-    )
-)
-
 
 def delta(after: dict, before: dict) -> dict:
     """Per-key difference of two tracer snapshots."""

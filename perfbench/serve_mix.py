@@ -14,6 +14,9 @@ each request class; both clients finish a pass before the next starts,
 so every run's hit, miss and fit counts per pass are identical.  The
 per-dataset budget covers every release the plan can issue
 (:data:`MAX_PASSES` passes), so no request is refused by design.
+
+Unlike the in-process workloads, every pass has fresh seeds: repeating
+a request would only hit the server's response cache.
 """
 
 from __future__ import annotations
@@ -31,17 +34,19 @@ import threading
 import time
 from dataclasses import dataclass
 
-from perfbench.common import BUILD, MAX_PASSES, ROOT, SETUP_REPEATS, Outcome
-from perfbench.measure import digest, failed_frac, percentile, read_peak_rss_mb
-from perfbench.metrics import EXACT, PER_LAYER, STRUCTURAL, delta, exact_view, layer_values
+from perfbench.common import BUILD, ROOT, SETUP_REPEATS, Outcome
+from perfbench.measure import HostClock, digest, percentile, read_peak_rss_mb
+from perfbench.metrics import EXACT, STRUCTURAL, delta, exact_view, layer_values
 from perfbench.workloads import derive_seed
 
 __all__ = ["run_serve_mix", "plan_pass"]
 
+# Passes a run may make, warm-up included.  The committed digests and the
+# privacy budget cover them all, so a run on a much faster program stops here.
+MAX_PASSES = 48
 DATASETS = ("as20", "ca-grqc", "synthetic-kronecker", "skg-k16")
 BLOCKS_PER_PASS = len(DATASETS)
 SAMPLE_COUNT = 2
-REQUESTS_PER_BLOCK = 8
 # Dyadic budgets: ledger sums are exact in any charge order.
 RELEASE_EPSILON = 2.0**-3
 RELEASE_DELTA = 2.0**-10
@@ -54,6 +59,8 @@ class Request:
     kind: str  # fit | sample | release | hit
     path: str
     body: dict
+    # Block of the pass the request belongs to.
+    block: int = 0
     # Index, within the same client's pass, of the request a hit repeats.
     repeats: int | None = None
 
@@ -77,18 +84,19 @@ def plan_pass(seed: int, pass_index: int) -> tuple[list[Request], list[Request]]
             "count": 1,
         }
         base = len(first)
+        sample = {**model, "count": SAMPLE_COUNT}
         first += [
-            Request("fit", "/fit", model),
-            Request("sample", "/sample", {**model, "count": SAMPLE_COUNT}),
-            Request("hit", "/fit", model, base),
-            Request("hit", "/sample", {**model, "count": SAMPLE_COUNT}, base + 1),
-            Request("hit", "/fit", model, base),
+            Request("fit", "/fit", model, offset),
+            Request("sample", "/sample", sample, offset),
+            Request("hit", "/fit", model, offset, base),
+            Request("hit", "/sample", sample, offset, base + 1),
+            Request("hit", "/fit", model, offset, base),
         ]
         base = len(second)
         second += [
-            Request("release", "/release", release),
-            Request("hit", "/release", release, base),
-            Request("hit", "/release", release, base),
+            Request("release", "/release", release, offset),
+            Request("hit", "/release", release, offset, base),
+            Request("hit", "/release", release, offset, base),
         ]
     return first, second
 
@@ -100,6 +108,8 @@ class Reply:
     cache: str | None
     body: bytes
     seconds: float
+    # Why the reply is wrong, or ``None``.
+    problem: str | None = None
 
 
 class Server:
@@ -116,8 +126,8 @@ class Server:
         self.host = ""
         self.port = 0
 
-    def start(self) -> float:
-        """Spawn; return seconds until ``/readyz`` answered 200."""
+    def start(self) -> None:
+        """Spawn and return once ``/readyz`` answered 200."""
         if self.traced:
             command = [sys.executable, str(ROOT / "perfbench" / "serve_traced.py"),
                        "--ledger-dir", str(self.ledger_dir), "--spans", str(self.spans)]
@@ -130,13 +140,12 @@ class Server:
             REPRO_SERVE_BUDGET_DELTA=repr(MAX_PASSES * RELEASE_DELTA),
         )
         log = self.dir / "server.log"
-        start = time.perf_counter()
+        deadline = time.perf_counter() + READY_TIMEOUT
         with open(log, "w") as handle:
             self.proc = subprocess.Popen(
                 command, cwd=ROOT, env=env, stdout=handle, stderr=subprocess.STDOUT,
                 stdin=subprocess.DEVNULL,
             )
-        deadline = start + READY_TIMEOUT
         while not self.port:
             self._check_alive(deadline)
             for line in log.read_text().splitlines():
@@ -150,7 +159,7 @@ class Server:
                 self._check_alive(deadline)
                 try:
                     if self.request(connection, "GET", "/readyz")[0] == 200:
-                        return time.perf_counter() - start
+                        return
                 except OSError:
                     connection.close()
                     connection = self.connect()
@@ -218,6 +227,13 @@ def _client(server: Server, connection, requests: list[Request], replies: list) 
         replies.append(Reply(request, status, cache, body, time.perf_counter() - began))
 
 
+def _run_all(threads: list[threading.Thread]) -> None:
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+
+
 def _serve_counts(stats: dict) -> dict:
     return {
         "serve.cache_hits": stats["responses"]["hits"],
@@ -242,7 +258,9 @@ class _Traffic:
         self.seed = seed
         self.outcome = outcome
         self.connections = [server.connect(), server.connect()]
-        self.passes: list[dict] = []  # per timed pass: seconds, replies, snapshot delta
+        # Per timed pass: wall seconds, the host clock's scale, replies, snapshot delta.
+        self.passes: list[dict] = []
+        self.clock = HostClock()
         self.releases: dict[str, int] = {}
         self.peak_rss_mb = 0.0
 
@@ -254,55 +272,45 @@ class _Traffic:
             threading.Thread(target=_client, args=(self.server, conn, plan, out))
             for conn, plan, out in zip(self.connections, plans, replies)
         ]
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        seconds = time.perf_counter() - start
+        _, seconds, scale = self.clock.time(lambda: _run_all(threads))
         after = _snapshot(self.server)
-        block_digests = self._check(pass_index, replies, timed)
-        outcome = self.outcome
-        first_block = pass_index * BLOCKS_PER_PASS
-        if first_block == len(outcome.unit_digests):
-            outcome.unit_digests.extend(block_digests)
-            outcome.unit_runs.extend([0] * BLOCKS_PER_PASS)
-        elif block_digests != outcome.unit_digests[first_block:first_block + BLOCKS_PER_PASS]:
-            outcome.errors.append(f"pass {pass_index}: bodies differ between servers")
+        self._check(pass_index, replies)
         if timed:
-            for block in range(first_block, first_block + BLOCKS_PER_PASS):
-                outcome.unit_runs[block] += REQUESTS_PER_BLOCK
+            every = replies[0] + replies[1]
+            self.outcome.attempted += len(every)
+            self.outcome.failed += sum(reply.problem is not None for reply in every)
             self.passes.append(
-                {"seconds": seconds, "replies": replies[0] + replies[1],
+                {"seconds": seconds, "scale": scale, "replies": every,
                  "delta": delta(after, before)}
             )
 
-    def _check(self, pass_index: int, replies: list[list[Reply]], timed: bool) -> list[str]:
-        """Validate every reply; return the pass's per-block digests."""
+    def _check(self, pass_index: int, replies: list[list[Reply]]) -> None:
+        """Validate every reply, then every block's digest of its miss bodies.
+
+        A block whose digest is wrong fails all of its requests.
+        """
         outcome = self.outcome
-        misses: dict[int, list[bytes]] = {}
+        misses: list[list[bytes]] = [[] for _ in range(BLOCKS_PER_PASS)]
         for client_replies in replies:
-            for index, reply in enumerate(client_replies):
-                problem = self._problem(reply, client_replies)
-                if timed:
-                    outcome.attempted += 1
-                    outcome.failed += problem is not None
-                if problem is not None:
+            for reply in client_replies:
+                request = reply.request
+                reply.problem = self._problem(reply, client_replies)
+                if reply.problem is not None:
                     outcome.errors.append(
-                        f"pass {pass_index} {reply.request.path} "
-                        f"{reply.request.body['dataset']}: {problem}"
+                        f"pass {pass_index} {request.path} "
+                        f"{request.body['dataset']}: {reply.problem}"
                     )
-                elif reply.request.kind != "hit":
-                    block = pass_index * BLOCKS_PER_PASS + index // (
-                        5 if reply.request.kind != "release" else 3
-                    )
-                    misses.setdefault(block, []).append(reply.body)
-                    if reply.request.kind == "release":
-                        dataset = reply.request.body["dataset"]
+                elif request.kind != "hit":
+                    misses[request.block].append(reply.body)
+                    if request.kind == "release":
+                        dataset = request.body["dataset"]
                         self.releases[dataset] = self.releases.get(dataset, 0) + 1
-        return [digest(b"".join(misses.get(block, [])))
-                for block in range(pass_index * BLOCKS_PER_PASS,
-                                   (pass_index + 1) * BLOCKS_PER_PASS)]
+        for block, bodies in enumerate(misses):
+            unit = pass_index * BLOCKS_PER_PASS + block
+            if not outcome.check_unit(unit, digest(b"".join(bodies)), f"pass {pass_index}"):
+                for reply in replies[0] + replies[1]:
+                    if reply.request.block == block and reply.problem is None:
+                        reply.problem = f"block {block}'s responses are wrong"
 
     @staticmethod
     def _problem(reply: Reply, client_replies: list[Reply]) -> str | None:
@@ -348,13 +356,17 @@ class _Traffic:
 
 
 def _drive(server: Server, args, outcome: Outcome, seconds: float) -> _Traffic:
-    """Warm-up pass, then timed passes for ``seconds``; then drain the server."""
+    """Warm-up pass, then timed passes while the next one is expected to end
+    within ``seconds``; then drain the server."""
     traffic = _Traffic(server, args.seed, outcome)
     try:
         traffic.run_pass(0, timed=False)
         elapsed = 0.0
         pass_index = 1
-        while pass_index < MAX_PASSES and (elapsed < seconds or args.record_golden):
+        while pass_index < MAX_PASSES and (
+            args.record_golden or pass_index == 1
+            or elapsed * pass_index / (pass_index - 1) <= seconds
+        ):
             traffic.run_pass(pass_index, timed=not args.record_golden)
             elapsed += traffic.passes[-1]["seconds"] if traffic.passes else 0.0
             pass_index += 1
@@ -367,32 +379,45 @@ def _drive(server: Server, args, outcome: Outcome, seconds: float) -> _Traffic:
 
 
 def _latency_metrics(traffic: _Traffic) -> dict:
-    """Client-side metrics: medians of per-pass rates, latency percentiles."""
-    replies = [reply for p in traffic.passes for reply in p["replies"]]
+    """Client-side metrics: medians of per-pass rates, latency percentiles.
+
+    Pass times and the latencies of computed requests are costs: wall
+    seconds times the run's host-clock scale, the median of its passes'
+    scales.  Cache hits keep their wall latency: most of it is the
+    kernel's 40-ms delayed-ACK timer (the server writes a response's
+    headers and body in two sends), which host speed does not change.
+    """
+    scale = statistics.median(p["scale"] for p in traffic.passes)
+    latencies = {kind: [] for kind in ("all", "hit", "sample", "fit", "release")}
     ok_rates, graph_rates = [], []
     for timed_pass in traffic.passes:
-        ok = [reply for reply in timed_pass["replies"] if reply.status == 200]
+        ok = [reply for reply in timed_pass["replies"] if reply.problem is None]
         graphs = sum(
             reply.request.body.get("count", 0)
             for reply in ok
             if reply.request.kind in ("sample", "release")
         )
-        ok_rates.append(len(ok) / timed_pass["seconds"])
-        graph_rates.append(graphs / timed_pass["seconds"])
+        ok_rates.append(len(ok) / (timed_pass["seconds"] * scale))
+        graph_rates.append(graphs / (timed_pass["seconds"] * scale))
+        for reply in timed_pass["replies"]:
+            kind = reply.request.kind
+            seconds = reply.seconds * (1.0 if kind == "hit" else scale)
+            latencies["all"].append(seconds)
+            latencies[kind].append(seconds)
     values = {
         "ops_per_s": statistics.median(ok_rates),
-        "op_p50_ms": percentile([r.seconds for r in replies], 50) * 1e3,
-        "op_p90_ms": percentile([r.seconds for r in replies], 90) * 1e3,
+        "op_p50_ms": percentile(latencies["all"], 50) * 1e3,
+        "op_p90_ms": percentile(latencies["all"], 90) * 1e3,
         "serve.graphs_per_s": statistics.median(graph_rates),
     }
     for kind in ("hit", "sample", "fit", "release"):
-        values[f"serve.{kind}_p50_ms"] = percentile(
-            [r.seconds for r in replies if r.request.kind == kind], 50
-        ) * 1e3
-    seconds = sum(p["seconds"] for p in traffic.passes)
+        values[f"serve.{kind}_p50_ms"] = percentile(latencies[kind], 50) * 1e3
+    raw = [reply.seconds for p in traffic.passes for reply in p["replies"]]
     print(
-        f"perfbench: {len(replies)} request latencies in {len(traffic.passes)} passes "
-        f"over {seconds:.2f} s; pass rates " + " ".join(f"{r:.3f}" for r in ok_rates),
+        f"perfbench: {len(raw)} request latencies in {len(traffic.passes)} passes over "
+        f"{sum(p['seconds'] for p in traffic.passes):.2f} s; wall p50 "
+        f"{percentile(raw, 50) * 1e3:.1f} ms, p90 {percentile(raw, 90) * 1e3:.1f} ms; "
+        "scales " + " ".join(f"{p['scale']:.3f}" for p in traffic.passes),
         file=sys.stderr,
     )
     return values
@@ -414,18 +439,18 @@ def _check_structure(traffic: _Traffic) -> dict:
     return reference
 
 
-def run_serve_mix(args) -> Outcome:
-    outcome = Outcome()
+def run_serve_mix(args, outcome: Outcome) -> None:
     if args.trace:
         _traced_run(args, outcome)
-        return outcome
+        return
     servers = []
     try:
         setup = []
+        clock = HostClock()
         for attempt in range(SETUP_REPEATS if not args.record_golden else 1):
             server = Server(f"setup{attempt}", traced=False, seed=args.seed)
             servers.append(server)
-            setup.append(server.start())
+            setup.append(clock.cost(server.start)[1])
             if attempt < SETUP_REPEATS - 1 and not args.record_golden:
                 server.stop()
         traffic = _drive(servers[-1], args, outcome, args.seconds)
@@ -433,7 +458,7 @@ def run_serve_mix(args) -> Outcome:
         for server in servers:
             server.stop()
     if args.record_golden:
-        return outcome
+        return
     _check_structure(traffic)
     values = _latency_metrics(traffic)
     outcome.metrics.update(
@@ -441,10 +466,8 @@ def run_serve_mix(args) -> Outcome:
         ops_per_s=values["ops_per_s"],
         op_p50_ms=values["op_p50_ms"],
         op_p90_ms=values["op_p90_ms"],
-        ok_frac=1.0 - failed_frac(outcome.attempted, outcome.failed),
         peak_rss_mb=traffic.peak_rss_mb,
     )
-    return outcome
 
 
 def _traced_run(args, outcome: Outcome) -> None:
@@ -478,15 +501,12 @@ def _traced_run(args, outcome: Outcome) -> None:
     values.update({k: v for k, v in plain_values.items() if k.startswith("serve.")})
     values.update(
         {
-            "failed_frac": failed_frac(outcome.attempted, outcome.failed),
             "trace.ops_per_s_untraced": plain_values["ops_per_s"],
             "trace.ops_per_s_traced": traced_rate,
             "trace.overhead_ops_per_s": traced_rate - plain_values["ops_per_s"],
         }
     )
-    for name, *_ in PER_LAYER:
-        values.setdefault(name, 0.0)
-    outcome.exact = {key: values[key] for key in sorted(EXACT)}
+    outcome.exact = {key: values[key] for key in sorted(EXACT) if key in values}
     outcome.metrics.update(values)
     spans = BUILD / "spans"
     spans.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from perfbench import measure
-from perfbench.common import MAX_PASSES, ROOT, Outcome
-from perfbench.metrics import END_TO_END, EXACT, PER_LAYER, STRUCTURAL, delta, layer_values
+from perfbench.common import ROOT, Outcome
+from perfbench.metrics import EXACT, STRUCTURAL, delta, exact_view, layer_values
 from perfbench.tracer import LAYER_TARGETS, Target, Tracer, _resolve_owner, installed_wrappers
 
 
@@ -149,45 +149,86 @@ def test_digest_passes_bytes_through_and_rejects_unknown_types():
         measure.digest({"x": object()})
 
 
-def _outcome(digests, runs):
-    return Outcome(unit_digests=list(digests), unit_runs=list(runs))
+def test_a_wrong_first_output_fails_every_run_of_that_unit():
+    outcome = Outcome(expected=["a", "b"])
+    assert outcome.check_unit(0, "a", "op0")
+    assert not outcome.check_unit(1, "x", "op1")
+    assert not outcome.check_unit(1, "x", "op1")
+    assert outcome.check_unit(0, "a", "op0")
+    assert len(outcome.errors) == 1
+    # Units past the expected list have nothing to compare with.
+    assert outcome.check_unit(2, "c", "op2")
+    assert outcome.unit_digests == ["a", "x", "c"]
 
 
-def test_golden_mismatch_fails_every_run_of_that_unit(monkeypatch, tmp_path):
-    from perfbench import run
-
-    golden = tmp_path / "golden.json"
-    golden.write_text(json.dumps({"kronfit": ["a", "b", "c"]}))
-    monkeypatch.setattr(run, "GOLDEN", golden)
-    good = _outcome(["a", "b"], [0, 2])
-    run.check_against_golden("kronfit", good)
-    assert good.errors == [] and good.failed == 0
-    bad = _outcome(["a", "x", "c"], [0, 2, 1])
-    run.check_against_golden("kronfit", bad)
-    assert bad.failed == 2 and len(bad.errors) == 1
-    longer = _outcome(["a", "b", "c", "d"], [0, 1, 1, 1])
-    run.check_against_golden("kronfit", longer)
-    assert longer.errors
+def test_a_changed_or_failed_rerun_is_wrong():
+    outcome = Outcome()
+    assert outcome.check_unit(0, "a", "op0")
+    assert not outcome.check_unit(0, "b", "op0")
+    assert not outcome.check_unit(1, None, "op1")
+    assert not outcome.check_unit(1, "c", "op1")
+    assert len(outcome.errors) == 2
 
 
-def test_earlier_run_records_catch_changed_digests_and_counts(monkeypatch, tmp_path):
+def test_golden_mismatch_lowers_ok_frac_and_throughput(monkeypatch):
+    from perfbench import workloads
+    from perfbench.inprocess import _Runner, latency_metrics
+    from perfbench.run import result_metrics
+
+    ops = [SimpleNamespace(label=f"op{i}", run=lambda i=i: i, summary=lambda v: v)
+           for i in range(4)]
+    right = [measure.digest(i) for i in range(4)]
+    monkeypatch.setattr(
+        workloads, "WORKLOADS",
+        {"toy": SimpleNamespace(make_ops=lambda seed, pass_index, graphs: ops)},
+    )
+    args = SimpleNamespace(workload="toy", seed=0)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    rates = {}
+    for name, expected in (("good", right), ("bad", right[:2] + ["0" * 16] + right[3:])):
+        outcome = Outcome(expected=expected)
+        latencies = {}
+        runner = _Runner(args, {}, outcome)
+        runner.run_pass(0, latencies)
+        runner.run_pass(0, latencies)
+        assert (outcome.attempted, outcome.failed) == (8, 0 if name == "good" else 2)
+        metrics = latency_metrics(latencies, outcome.wrong_units)
+        # Equal latencies for both runs, so only the right-op count differs.
+        latencies = {unit: [1.0] for unit in latencies}
+        rates[name] = latency_metrics(latencies, outcome.wrong_units)["ops_per_s"]
+        outcome.metrics.update(metrics, setup_s=1.0, peak_rss_mb=1.0)
+        printed = result_metrics(spec, False, outcome)
+        assert printed["ok_frac"]["value"] == (1.0 if name == "good" else 0.75)
+        assert len(outcome.errors) == (0 if name == "good" else 1)
+    assert rates == {"good": 1.0, "bad": 0.75}
+
+
+def test_earlier_run_records_catch_changed_counts_and_supply_digests(monkeypatch, tmp_path):
     from perfbench import run
 
     monkeypatch.setattr(run, "BUILD", tmp_path)
     args = SimpleNamespace(workload="private-fit", seed=3)
-    first = _outcome(["a", "b"], [0, 1])
-    first.exact = {"moments.efv.calls": 10}
+    assert run.expected_digests(args) is None
+    first = Outcome(unit_digests=["a", "b"], exact={"moments.efv.calls": 10})
     run.check_against_earlier_runs(args, first)
     assert first.errors == []
-    same = _outcome(["a", "b", "c"], [0, 1, 1])
-    same.exact = {"moments.efv.calls": 10}
+    assert run.expected_digests(args) == ["a", "b"]
+    same = Outcome(unit_digests=["a", "b"], exact={"moments.efv.calls": 10})
     run.check_against_earlier_runs(args, same)
     assert same.errors == []
-    changed = _outcome(["a", "z"], [0, 1])
-    changed.exact = {"moments.efv.calls": 11}
+    changed = Outcome(unit_digests=["a", "b"], exact={"moments.efv.calls": 11})
     run.check_against_earlier_runs(args, changed)
-    assert len(changed.errors) == 2
-    assert all(error.startswith("NONDETERMINISM") for error in changed.errors)
+    assert len(changed.errors) == 1 and changed.errors[0].startswith("NONDETERMINISM")
+
+
+def test_default_seed_expects_the_committed_digests(monkeypatch, tmp_path):
+    from perfbench import run
+
+    golden = tmp_path / "golden.json"
+    golden.write_text(json.dumps({"private-fit": ["a", "b"]}))
+    monkeypatch.setattr(run, "GOLDEN", golden)
+    args = SimpleNamespace(workload="private-fit", seed=run.DEFAULT_SEED)
+    assert run.expected_digests(args) == ["a", "b"]
 
 
 # -- percentile and failure arithmetic ---------------------------------------------
@@ -207,6 +248,17 @@ def test_percentile_edges():
         measure.percentile([], 50)
     with pytest.raises(ValueError):
         measure.percentile([1.0], 101)
+
+
+def test_host_clock_scales_wall_time_by_the_yardstick(monkeypatch):
+    # Yardstick runs of twice the reference time mean a host at half speed.
+    ticks = iter([0.0, 2.0, 2.0, 3.0, 3.0, 5.0])
+    monkeypatch.setattr(measure, "REFERENCE_SECONDS", 1.0)
+    monkeypatch.setattr(measure, "reference_work", lambda: None)
+    monkeypatch.setattr(measure, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+    clock = measure.HostClock()
+    assert clock.time(lambda: "done") == ("done", 1.0, 0.5)
+    assert clock.reference_seconds == 4.0
 
 
 def test_failed_frac():
@@ -252,31 +304,41 @@ def test_delta_subtracts_per_key():
 
 # -- declarations ------------------------------------------------------------------
 
+# Per-layer metrics a workload runner adds beyond the span and count groups.
+_RUNNER_LAYER_METRICS = {
+    "failed_frac",
+    "runtime.parallel_efficiency",
+    "serve.hit_p50_ms",
+    "serve.sample_p50_ms",
+    "serve.fit_p50_ms",
+    "serve.release_p50_ms",
+    "serve.graphs_per_s",
+    "trace.ops_per_s_untraced",
+    "trace.ops_per_s_traced",
+    "trace.overhead_ops_per_s",
+}
 
-def test_benchmark_json_matches_the_declared_metrics():
+
+def test_every_declared_per_layer_metric_is_produced():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    assert [(m["name"], m["unit"], m["better"], m["bound"]) for m in spec["end_to_end"]] == [
-        tuple(metric) for metric in END_TO_END
-    ]
-    assert [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]] == [
-        tuple(metric) for metric in PER_LAYER
-    ]
-    from perfbench.run import WORKLOAD_NAMES
-
-    assert {w["name"] for w in spec["workloads"]} <= set(WORKLOAD_NAMES)
-    names = [m[0] for m in END_TO_END + PER_LAYER]
-    assert len(names) == len(set(names))
-    assert EXACT <= set(names) and STRUCTURAL <= EXACT
+    empty = _snapshot(counts={name: 0 for name in STRUCTURAL if name.startswith("serve.")})
+    produced = set(layer_values(empty, empty, 1)) | set(exact_view(empty))
+    declared = [metric["name"] for metric in spec["per_layer"]]
+    assert len(declared) == len(set(declared))
+    assert set(declared) == produced | _RUNNER_LAYER_METRICS
+    assert EXACT <= produced and STRUCTURAL <= EXACT
 
 
-def test_golden_covers_every_pass_a_run_may_make():
-    from perfbench.serve_mix import BLOCKS_PER_PASS
+def test_golden_covers_every_unit_a_run_may_make():
+    from perfbench.serve_mix import BLOCKS_PER_PASS, MAX_PASSES
+    from perfbench.workloads import WORKLOADS
 
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())
-    units_per_pass = {"private-fit": 12, "kronfit": 16, "table1-grid": 1,
-                      "serve-mix": BLOCKS_PER_PASS}
-    for workload, per_pass in units_per_pass.items():
-        assert len(golden[workload]) == MAX_PASSES * per_pass
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(golden) == {workload["name"] for workload in spec["workloads"]}
+    assert len(golden["private-fit"]) == 12 * (1 + WORKLOADS["private-fit"].timed_passes)
+    assert len(golden["table1-grid"]) == 1 + WORKLOADS["table1-grid"].timed_passes
+    assert len(golden["serve-mix"]) == MAX_PASSES * BLOCKS_PER_PASS
 
 
 # -- the serve-mix plan --------------------------------------------------------------
@@ -291,15 +353,16 @@ def test_serve_plan_is_a_pure_function_of_seed_and_pass():
 
 
 def test_serve_plan_mix_and_hit_references():
-    from perfbench.serve_mix import BLOCKS_PER_PASS, DATASETS, REQUESTS_PER_BLOCK, plan_pass
+    from perfbench.serve_mix import BLOCKS_PER_PASS, DATASETS, plan_pass
 
     first, second = plan_pass(0, 2)
     requests = first + second
-    assert len(requests) == REQUESTS_PER_BLOCK * BLOCKS_PER_PASS
+    assert len(requests) == 8 * BLOCKS_PER_PASS
     kinds = [request.kind for request in requests]
     assert kinds.count("hit") * 8 == len(requests) * 5
     for client in (first, second):
         for index, request in enumerate(client):
+            assert request.block == index // (len(client) // BLOCKS_PER_PASS)
             if request.kind == "hit":
                 original = client[request.repeats]
                 assert request.repeats < index
@@ -312,7 +375,7 @@ def test_serve_plan_mix_and_hit_references():
 
 
 def test_serve_budget_exactly_covers_the_planned_releases():
-    from perfbench.serve_mix import RELEASE_DELTA, RELEASE_EPSILON, plan_pass
+    from perfbench.serve_mix import MAX_PASSES, RELEASE_DELTA, RELEASE_EPSILON, plan_pass
 
     per_dataset = {}
     for pass_index in range(MAX_PASSES):

@@ -226,14 +226,7 @@ def _sample_after(tracer: Tracer, args, graph, _) -> None:
 def _chain_observables(args) -> tuple[int, int]:
     """(proposals made, score-table touches) so far by a chain sampler."""
     sampler = args[0]
-    if hasattr(sampler, "n_chains"):
-        chains = [sampler.chain(s) for s in range(sampler.n_chains)]
-    else:
-        chains = [sampler]
-    return (
-        sum(chain.proposed for chain in chains),
-        sum(chain.score_touches for chain in chains),
-    )
+    return sampler.proposed, sampler.score_touches
 
 
 def _chain_run_after(tracer: Tracer, args, result, before) -> None:
@@ -271,12 +264,8 @@ LAYER_TARGETS: tuple[Target, ...] = (
     Target("repro.kronecker.sampling", "sample_skg", "sampling.sample_skg", _sample_after),
     Target("repro.kronecker.likelihood:PermutationSampler", "run", "likelihood.run",
            _chain_run_after, _chain_observables),
-    Target("repro.kronecker.likelihood:MultiChainSampler", "run", "likelihood.run",
-           _chain_run_after, _chain_observables),
     Target("repro.kronecker.likelihood", "draw_proposal_batch", "chain.draw"),
     Target("repro.kronecker.likelihood", "chain_kernel", "chain.kernel", factory=True),
-    Target("repro.kronecker.likelihood", "multichain_kernel", "chain.kernel",
-           factory=True),
     Target("repro.kronecker.likelihood:PermutationSampler", "set_theta",
            "likelihood.set_theta"),
     Target("repro.kronecker.likelihood:ProfileLikelihood", "gradient",

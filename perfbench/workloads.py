@@ -1,10 +1,13 @@
-"""The in-process workloads: private-fit, kronfit and table1-grid.
+"""The in-process workloads: private-fit and table1-grid.
 
 A workload's ops come in *passes*: pass ``p`` holds the same mix of
-ops as every other pass (same graphs, budgets and start counts), with
-seeds derived from the workload seed and ``p``.  Fresh seeds per pass
-average the seed-dependent work over a run instead of repeating one
-draw; pass 0 is the warm-up, and timing covers whole passes only.
+ops as every other pass (same graphs and budgets), with seeds derived
+from the workload seed and ``p``.  Pass 0 is the warm-up; passes
+``1..timed_passes`` are the run's timed op set, which it runs again and
+again, in the same order, until its window is over.  Fresh seeds per
+pass average the seed-dependent work over the op set; repeating the
+set lets each op's latency be read with the contention of a shared
+host taken out (see ``inprocess.py``).
 """
 
 from __future__ import annotations
@@ -15,16 +18,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from perfbench.measure import digest
 import repro
 from repro.evaluation.experiments import ExperimentConfig
 from repro.evaluation.table1 import run_table1
-from repro.native.chain import (
-    chain_kernel,
-    multichain_kernel,
-    resolve_chain_backend,
-    resolve_multichain_backend,
-)
 from repro.stats.counts import matching_statistics
 
 __all__ = [
@@ -32,16 +28,12 @@ __all__ = [
     "InProcessWorkload",
     "WORKLOADS",
     "derive_seed",
-    "numpy_backend_check",
     "prepare",
 ]
 
 TABLE1_GRAPHS = ("ca-grqc", "ca-hepth", "as20", "synthetic-kronecker")
 EPSILONS = (0.05, 0.2, 1.0)
 DELTA = 0.01
-# Table 1's KronFit gradient budget (ExperimentConfig.kronfit_iterations).
-KRONFIT_ITERATIONS = ExperimentConfig().kronfit_iterations
-MULTI_STARTS = 8
 TABLE1_JOBS = 2
 
 
@@ -100,62 +92,6 @@ def _private_ops(seed: int, pass_index: int, graphs: dict) -> list[Op]:
     return ops
 
 
-# -- kronfit ------------------------------------------------------------------
-
-
-def _kronfit_summary(result) -> dict:
-    return {
-        "initiator": _initiator(result.initiator),
-        "log_likelihoods": list(result.log_likelihoods),
-        "acceptance_rate": float(result.acceptance_rate),
-        "start": result.start,
-        "start_log_likelihoods": list(result.start_log_likelihoods),
-    }
-
-
-def _kronfit_estimator(seed: int, n_starts: int, backend: str | None = None):
-    return repro.KronFitEstimator(
-        n_iterations=KRONFIT_ITERATIONS,
-        seed=seed,
-        n_starts=n_starts,
-        kernel_threads=1,
-        backend=backend,
-    )
-
-
-def _kronfit_ops(seed: int, pass_index: int, graphs: dict) -> list[Op]:
-    # Three single-start fits to every multi-start one: p50 falls inside
-    # the single-start mode and p90 inside the S=8 mode.
-    ops = []
-    for g, name in enumerate(TABLE1_GRAPHS):
-        for slot, n_starts in enumerate((1, 1, 1, MULTI_STARTS)):
-            estimator = _kronfit_estimator(
-                derive_seed(seed, 2, pass_index, g, slot), n_starts
-            )
-            ops.append(
-                Op(f"kronfit:{name}:S={n_starts}:{slot}",
-                   _fit(estimator, graphs[name]), _kronfit_summary)
-            )
-    return ops
-
-
-def numpy_backend_check(seed: int, graphs: dict, expected: str) -> str | None:
-    """Re-run the cheapest warm-up op on the numpy reference engine.
-
-    ``expected`` is that op's digest from the compiled engine.  Returns
-    an error message unless the two are bit-identical.
-    """
-    g = TABLE1_GRAPHS.index("synthetic-kronecker")
-    estimator = _kronfit_estimator(derive_seed(seed, 2, 0, g, 0), 1, backend="numpy")
-    reference = digest(_kronfit_summary(estimator.fit(graphs["synthetic-kronecker"])))
-    if reference != expected:
-        return f"kronfit numpy backend digest {reference} != compiled digest {expected}"
-    return None
-
-
-NUMPY_CHECK_SLOT = 4 * TABLE1_GRAPHS.index("synthetic-kronecker")
-
-
 # -- table1-grid --------------------------------------------------------------
 
 
@@ -179,20 +115,11 @@ def _table1_ops(seed: int, pass_index: int, graphs: dict) -> list[Op]:
 def prepare(workload: str) -> dict:
     """What a user's process does before its first op can be issued.
 
-    Loads the workload's graphs, runs their first A² pass, and loads the
-    compiled chain kernels KronFit will call.
+    Loads the workload's graphs and runs their first A² pass.
     """
     graphs = {name: repro.load_dataset(name) for name in WORKLOADS[workload].datasets}
     for graph in graphs.values():
         matching_statistics(graph)
-    if workload == "kronfit":
-        for resolve, kernel in (
-            (resolve_chain_backend, chain_kernel),
-            (resolve_multichain_backend, multichain_kernel),
-        ):
-            backend = resolve(None)
-            if backend != "numpy":
-                kernel(backend)
     return graphs
 
 
@@ -206,10 +133,15 @@ class InProcessWorkload:
     datasets: tuple[str, ...]
     # (workload seed, pass index, graphs) -> the pass's ops
     make_ops: Callable[[int, int, dict], list[Op]]
+    # Passes in the timed op set.  Sized so that one round over the set
+    # takes about a third of the 26-s window on the 2-core reference
+    # machine: every op is timed about three times, and the set holds
+    # enough seeds that the seed-dependent work of fits varies little
+    # between runs.
+    timed_passes: int
 
 
 WORKLOADS = {
-    "private-fit": InProcessWorkload(TABLE1_GRAPHS, _private_ops),
-    "kronfit": InProcessWorkload(TABLE1_GRAPHS, _kronfit_ops),
-    "table1-grid": InProcessWorkload(TABLE1_GRAPHS, _table1_ops),
+    "private-fit": InProcessWorkload(TABLE1_GRAPHS, _private_ops, timed_passes=3),
+    "table1-grid": InProcessWorkload(TABLE1_GRAPHS, _table1_ops, timed_passes=7),
 }
