@@ -7,8 +7,10 @@ is the classic PAV solution
     d̄_i = min_{j ≥ i} max_{h ≤ j} mean(d̂[h..j]),
 
 computed here with the stack-based pool-adjacent-violators algorithm in
-O(n).  Implemented from scratch (no sklearn dependency); tests check the
-KKT conditions and compare against a brute-force QP on small inputs.
+O(n), on a stack of Python floats.  Implemented from scratch (no sklearn
+dependency); tests check the KKT conditions, compare against a
+brute-force QP on small inputs, and hold the result bit-identical to the
+earlier numpy-indexed stack.
 """
 
 from __future__ import annotations
@@ -52,23 +54,21 @@ def isotonic_regression(values: np.ndarray, weights: np.ndarray | None = None) -
             raise ValidationError("weights must be positive")
 
     # Each stack block is (mean, weight, count); adjacent blocks violating
-    # monotonicity are merged (weighted average) as values stream in.
-    block_mean = np.empty(n, dtype=np.float64)
-    block_weight = np.empty(n, dtype=np.float64)
-    block_count = np.empty(n, dtype=np.int64)
-    top = -1
-    for i in range(n):
-        top += 1
-        block_mean[top] = values[i]
-        block_weight[top] = weights[i]
-        block_count[top] = 1
-        while top > 0 and block_mean[top - 1] >= block_mean[top]:
-            merged_weight = block_weight[top - 1] + block_weight[top]
-            block_mean[top - 1] = (
-                block_weight[top - 1] * block_mean[top - 1]
-                + block_weight[top] * block_mean[top]
-            ) / merged_weight
-            block_weight[top - 1] = merged_weight
-            block_count[top - 1] += block_count[top]
-            top -= 1
-    return np.repeat(block_mean[: top + 1], block_count[: top + 1])
+    # monotonicity are merged (weighted average) as values stream in.  The
+    # stack lives in Python lists: per-element numpy indexing would cost
+    # several times the arithmetic.
+    block_mean: list[float] = []
+    block_weight: list[float] = []
+    block_count: list[int] = []
+    for mean, weight in zip(values.tolist(), weights.tolist()):
+        count = 1
+        while block_mean and block_mean[-1] >= mean:
+            previous_weight = block_weight.pop()
+            merged_weight = previous_weight + weight
+            mean = (previous_weight * block_mean.pop() + weight * mean) / merged_weight
+            weight = merged_weight
+            count += block_count.pop()
+        block_mean.append(mean)
+        block_weight.append(weight)
+        block_count.append(count)
+    return np.repeat(np.array(block_mean, dtype=np.float64), block_count)

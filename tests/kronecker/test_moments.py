@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kronecker.initiator import Initiator
+from repro.kronecker.kronmom import DEFAULT_FEATURES, _clip_unit
 from repro.kronecker.kronpower import (
     brute_force_expected_counts,
     edge_probability_matrix,
@@ -22,6 +23,7 @@ from repro.kronecker.moments import (
     expected_edges,
     expected_feature_vector,
     expected_hairpins,
+    expected_moments_scalar,
     expected_statistics,
     expected_triangles,
     expected_tripins,
@@ -96,6 +98,38 @@ class TestVectorisation:
     def test_feature_vector_unknown_name(self):
         with pytest.raises(ValueError, match="unknown feature"):
             expected_feature_vector(0.5, 0.5, 0.5, 3, ("edges", "squares"))
+
+
+# Refine-stage points: anywhere in or near the unit cube, with extra weight
+# on the grid corners and both signed zeros.
+refine_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0]),
+    st.floats(min_value=-0.25, max_value=1.25, allow_nan=False),
+)
+
+
+class TestScalarTwin:
+    """``expected_moments_scalar`` must return the vectorised forms' bits."""
+
+    @given(
+        a=refine_coordinate,
+        b=refine_coordinate,
+        c=refine_coordinate,
+        k=st.integers(min_value=1, max_value=24),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_bit_identical_to_the_vectorised_forms_on_clipped_points(self, a, b, c, k):
+        # The refine stage used to clip with np.clip and evaluate the
+        # vectorised forms on the clipped array's elements (0-d inputs);
+        # it now clips with _clip_unit and calls the scalar twin.
+        clipped = np.clip(np.array([a, b, c]), 0.0, 1.0)
+        vectorised = expected_feature_vector(
+            clipped[0], clipped[1], clipped[2], k, DEFAULT_FEATURES
+        )
+        scalar = expected_moments_scalar(_clip_unit(a), _clip_unit(b), _clip_unit(c), k)
+        assert [value.hex() for value in scalar] == [
+            value.hex() for value in vectorised.tolist()
+        ]
 
 
 class TestMonotonicity:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ValidationError
+from repro.graphs.datasets import load_dataset
+from repro.privacy.degree_release import release_sorted_degrees
 from repro.privacy.isotonic import isotonic_regression
 
 float_arrays = st.lists(
@@ -101,3 +103,57 @@ class TestProjectionProperties:
         assert np.sum((result - values) ** 2) <= np.sum(
             (candidate - values) ** 2
         ) + 1e-6
+
+
+def _numpy_stack_pav(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The earlier implementation: the same stack, held in numpy arrays."""
+    n = values.size
+    block_mean = np.empty(n, dtype=np.float64)
+    block_weight = np.empty(n, dtype=np.float64)
+    block_count = np.empty(n, dtype=np.int64)
+    top = -1
+    for i in range(n):
+        top += 1
+        block_mean[top] = values[i]
+        block_weight[top] = weights[i]
+        block_count[top] = 1
+        while top > 0 and block_mean[top - 1] >= block_mean[top]:
+            merged_weight = block_weight[top - 1] + block_weight[top]
+            block_mean[top - 1] = (
+                block_weight[top - 1] * block_mean[top - 1]
+                + block_weight[top] * block_mean[top]
+            ) / merged_weight
+            block_weight[top - 1] = merged_weight
+            block_count[top - 1] += block_count[top]
+            top -= 1
+    return np.repeat(block_mean[: top + 1], block_count[: top + 1])
+
+
+class TestBitIdenticalToTheNumpyStack:
+    """The list-based stack must return the numpy-indexed stack's bits."""
+
+    @pytest.mark.parametrize("dataset", ["ca-grqc", "as20"])
+    @pytest.mark.parametrize("epsilon", [0.05, 1.0])
+    def test_noisy_degree_sequences(self, dataset, epsilon):
+        graph = load_dataset(dataset)
+        for seed in range(3):
+            noisy = release_sorted_degrees(graph, epsilon / 2, seed=seed).noisy
+            expected = _numpy_stack_pav(noisy, np.ones(noisy.size))
+            assert isotonic_regression(noisy).tobytes() == expected.tobytes()
+
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.floats(min_value=-100, max_value=100, allow_nan=False),
+                st.floats(min_value=1e-3, max_value=50),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_random_weighted_inputs(self, pairs):
+        values = np.array([value for value, _ in pairs])
+        weights = np.array([weight for _, weight in pairs])
+        expected = _numpy_stack_pav(values, weights)
+        assert isotonic_regression(values, weights).tobytes() == expected.tobytes()
