@@ -6,7 +6,7 @@ proposals per fit; PR 4 moved the chain onto the fused native kernels
 records two trajectories per workload:
 
 * **chain throughput** — raw proposals/second of
-  :meth:`PermutationSampler.run` per engine (numpy reference, numba,
+  :meth:`PermutationSampler.run` per engine (numpy reference and
   compiled-C ``cext``), with every engine first checked **bit-identical**
   to the reference on a common pre-drawn stream (σ, histogram, and
   acceptance count must agree exactly — the same contract the chain
@@ -123,7 +123,7 @@ QUICK_FIT_PARAMS = dict(
 
 # Throughput probe sizes: enough proposals to swamp per-run setup, kept
 # small on the reference engine so the bench stays minutes-scale.
-THROUGHPUT_PROPOSALS = {"numpy": 20_000, "numba": 400_000, "cext": 400_000}
+THROUGHPUT_PROPOSALS = {"numpy": 20_000, "cext": 400_000}
 EQUIVALENCE_PROPOSALS = 4_000
 
 # The large-k scale rows (PR 8): full Table-1-budget fits on the skg-k16

@@ -14,8 +14,8 @@ datasets, comparing
 
 On top of the combined path, each workload records the **backend
 trajectory** of the pass itself — the blocked ``scipy`` SpGEMM versus the
-fused ``numba`` and compiled-C ``cext`` kernels, each timed on the same
-pass and checked bit-identical — and a **parallel trajectory**: the pass
+fused compiled-C ``cext`` kernel, each timed on the same pass and checked
+bit-identical — and a **parallel trajectory**: the pass
 forced into many row blocks and fanned across the :mod:`repro.runtime`
 pool at n_jobs ∈ {1, 2, 4}.  Backends the host cannot run are recorded
 as unavailable with the reason, so the artifact states exactly what was

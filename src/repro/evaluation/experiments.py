@@ -39,9 +39,8 @@ Counting-kernel knobs (consumed by :mod:`repro.stats.kernels`):
 * ``REPRO_KERNEL_BACKEND`` — execution engine of *both* native-kernel
   families (default ``auto``): the blocked A² counting pass and the
   KronFit Metropolis chain (:mod:`repro.native`).  ``auto`` prefers the
-  fused kernels — ``numba`` when numba is installed, else the
-  compiled-C ``cext`` — and silently falls back to the pure-Python
-  references (blocked ``scipy`` SpGEMM / numpy chain); naming an
+  fused compiled-C ``cext`` kernels and silently falls back to the
+  pure-Python references (blocked ``scipy`` SpGEMM / numpy chain); naming an
   unavailable backend fails loudly at use time.  Results are
   bit-identical across backends; the knob only selects how fast they
   are computed.  Mirrored as ``config.kernel_backend`` for bench

@@ -137,7 +137,7 @@ class KronFitEstimator:
         Starting initiator (defaults to the paper's generic seed point).
     backend:
         Execution engine of the Metropolis permutation chain (``auto`` |
-        ``numpy`` | ``numba`` | ``cext``; default: the
+        ``numpy`` | ``cext``; default: the
         ``REPRO_KERNEL_BACKEND`` knob, else ``auto``).  Results are
         bit-identical for every engine — the knob only selects speed.
     n_starts:

@@ -24,7 +24,7 @@ O(N²) reference used by tests.
 :class:`PermutationSampler` — the Metropolis chain over σ that KronFit
 averages its gradients over — executes pre-drawn proposal streams behind
 the ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined
-here, or the fused numba / compiled-C batch kernels of
+here, or the fused compiled-C batch kernels of
 :mod:`repro.native.chain`.  All engines are bit-identical (see the
 contracts documented there).
 """
@@ -237,7 +237,7 @@ class PermutationSampler:
     :func:`repro.native.chain.draw_proposal_batch`) behind interchangeable
     execution engines selected by ``backend`` / ``REPRO_KERNEL_BACKEND``:
     the pure-numpy reference implemented here, and the fused
-    numba/compiled-C batch kernels of :mod:`repro.native.chain`.  Every
+    compiled-C batch kernel of :mod:`repro.native.chain`.  Every
     engine follows the same score contract — the swap delta is an integer
     profile-count change dotted with the cached score table in ascending
     cell order — so σ trajectories, histograms, and acceptance counts are
@@ -264,8 +264,8 @@ class PermutationSampler:
         adjacency = graph.adjacency
         self._indptr = adjacency.indptr
         self._indices = adjacency.indices
-        # Resolve the engine eagerly so a misconfigured pipeline (numba
-        # requested but not installed) fails at construction, not mid-fit.
+        # Resolve the engine eagerly so a misconfigured pipeline (cext
+        # requested but no C compiler) fails at construction, not mid-fit.
         self.backend = resolve_chain_backend(backend)
         self._kernel = None
         if self.backend != "numpy":
@@ -524,8 +524,8 @@ class MultiChainSampler:
     Each chain has its own Θ, σ, score table, and profile histogram —
     multi-start KronFit runs one chain per start — but they share the
     graph's CSR structure, so the whole ensemble advances inside a single
-    :func:`repro.native.chain.multichain_block` call, sharded across
-    threads (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
+    call of the multichain kernel of :mod:`repro.native.chain`, sharded
+    across threads (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
     **bit-identical** to the solo :class:`PermutationSampler` trajectory
     it replaces, for any backend, batch size, or thread count: the draws
     are made per chain in chain order with the same
@@ -543,7 +543,7 @@ class MultiChainSampler:
     row the fused kernel reads).
 
     The ``numpy`` reference engine loops the per-chain reference blocks;
-    ``numba`` / ``cext`` run the fused multichain kernel.
+    ``cext`` runs the fused multichain kernel.
     """
 
     def __init__(
@@ -704,12 +704,6 @@ class MultiChainSampler:
         if batch_size < 1:
             raise ValidationError(
                 f"batch_size must be positive, got {batch_size}"
-            )
-        if self.backend == "numba":
-            import numba
-
-            numba.set_num_threads(
-                max(1, min(self.threads, numba.config.NUMBA_NUM_THREADS))
             )
         for start in range(0, total, batch_size):
             stop = min(start + batch_size, total)

@@ -19,7 +19,7 @@ each unordered pair {u, v} an independent edge with probability
 
 ``sample_skg`` executes behind the ``REPRO_KERNEL_BACKEND`` knob like the
 counting pass and the Metropolis chain: the pure-Python reference engine
-defined here, or the fused numba / compiled-C selection kernel of
+defined here, or the fused compiled-C selection kernel of
 :mod:`repro.native.sampling`.  All engines consume the same pre-drawn
 streams (the draw contract documented there) and run the same Floyd
 selection + combination unranking, so the sampled graph is
@@ -78,8 +78,7 @@ def sample_skg(
     """Draw one undirected SKG on ``2^k`` nodes by exact grass-hopping.
 
     ``backend`` selects the pair-selection engine (``auto``/``numpy``/
-    ``numba``/``cext``; default: the ``REPRO_KERNEL_BACKEND``
-    environment knob) — the sampled graph is bit-identical across
+    ``cext``; default: the ``REPRO_KERNEL_BACKEND`` environment knob) — the sampled graph is bit-identical across
     engines for any seed.
     """
     theta = as_initiator(initiator)

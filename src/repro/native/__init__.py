@@ -1,4 +1,4 @@
-"""repro.native — shared native-kernel layer (numba + compiled-C backends).
+"""repro.native — shared native-kernel layer (compiled-C backends).
 
 Hot loops in the reproduction run behind interchangeable execution
 engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
@@ -11,14 +11,17 @@ engines selected by one knob, ``REPRO_KERNEL_BACKEND``:
 * the **multichain kernel** (same module) — S independent chains per
   native call for multi-start KronFit
   (:class:`repro.kronecker.likelihood.MultiChainSampler`), sharded
-  across threads via the ``REPRO_KERNEL_THREADS`` knob.
+  across threads via the ``REPRO_KERNEL_THREADS`` knob;
+* the **sampler kernel** (:mod:`repro.native.sampling`) — per-class pair
+  selection for exact SKG generation
+  (:func:`repro.kronecker.sampling.sample_skg`).
 
-Each kernel is written twice — a numba-jittable Python loop nest and an
-identical C function compiled on first use via the system compiler — and
-registered with the shared machinery in :mod:`repro.native.registry`:
-lazy availability probes with memoized failure reasons, compile-once
-shared-library caching, smoke tests at probe time, and the common
-``auto``/loud-failure resolution contract.  Every engine of a kernel is
+Each kernel is a C function compiled on first use via the system
+compiler (the ``cext`` engine) beside a pure-Python reference engine
+that lives with its caller, and is registered with the shared machinery
+in :mod:`repro.native.registry`: lazy availability probes with memoized
+failure reasons, compile-once shared-library caching, smoke tests at
+probe time, and the common ``auto``/loud-failure resolution contract.  Every engine of a kernel is
 bit-identical to its pure-Python reference; the knob only selects speed.
 """
 
@@ -36,7 +39,6 @@ from repro.native.chain import (
     draw_proposal_batch,
     multichain_backend_available,
     multichain_backend_error,
-    multichain_block,
     multichain_kernel,
     resolve_chain_backend,
     resolve_multichain_backend,
@@ -47,7 +49,6 @@ from repro.native.counting import (
     backend_available,
     backend_error,
     backend_kernel,
-    fused_block,
 )
 from repro.native.registry import (
     KERNEL_BACKEND_ENV,
@@ -78,7 +79,6 @@ __all__ = [
     "backend_available",
     "backend_error",
     "backend_kernel",
-    "fused_block",
     "CHAIN_KERNEL",
     "CHAIN_BACKENDS",
     "chain_block",
@@ -90,7 +90,6 @@ __all__ = [
     "available_chain_backends",
     "MULTICHAIN_KERNEL",
     "MULTICHAIN_BACKENDS",
-    "multichain_block",
     "multichain_backend_available",
     "multichain_backend_error",
     "multichain_kernel",

@@ -50,21 +50,22 @@ into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
 per permutation sample.
 
-The kernel is registered twice (numba jit of :func:`chain_block`, and the
-identical C loop compiled via :func:`repro.native.registry`); the numpy
-reference lives with its caller,
+The kernel is a C loop nest compiled via :mod:`repro.native.registry`;
+:func:`chain_block` is the same loop nest in plain Python, kept as the
+trusted reference the multichain probe checks against.  The numpy
+reference engine lives with its caller,
 :class:`repro.kronecker.likelihood.PermutationSampler`.  The equivalence
 matrix (``tests/kronecker/test_chain_equivalence.py``) pins every
 backend × batch size × graph family × θ cell to identical σ trajectories,
 histograms, and acceptance counts.
 
-**The multichain family** (:func:`multichain_block`) advances S
+**The multichain family** (``repro_multichain_block``) advances S
 *independent* chains — each with its own σ, score table, histogram, and
 pre-drawn draw-contract streams — in one native call, parallelized
-*across chains* (OpenMP in C, ``numba.prange`` in the jit; both optional
-and inert when unavailable).  Within a chain the proposal loop is the
-same contract as :func:`chain_block`, with one integer-exact rewrite: the
-profile cell is derived via the popcount identity
+*across chains* with OpenMP (optional, and inert when unavailable).
+Within a chain the proposal loop is the same contract as
+:func:`chain_block`, with one integer-exact rewrite: the profile cell is
+derived via the popcount identity
 ``popcount(id ^ w) = popcount(id) + popcount(w) − 2·popcount(id & w)``,
 so each neighbor costs three popcounts instead of four and the row index
 ``z = (k − popcount(id)) − popcount(w) + o`` hoists the two
@@ -73,11 +74,11 @@ integers, so every touched cell — and therefore every float accumulation
 sequence and accept/reject decision — is *identical* to the single-chain
 kernel's: chain ``c`` of a batched call is bit-identical to the solo
 trajectory it replaces, for any chain count, batch size, or thread count
-(threads only shard whole chains).  The C twin uses the compiler's
-``__builtin_popcountll`` (same values as the SWAR popcount the Python
-twin keeps, enforced by the equivalence matrix), and its registration
-offers ``-fopenmp`` and ``-mpopcnt`` as optional compile flags with
-graceful fallback.
+(threads only shard whole chains).  It uses the compiler's
+``__builtin_popcountll`` (same values as the SWAR popcount of the
+single-chain kernel, enforced by the equivalence matrix), and its
+registration offers ``-fopenmp`` and ``-mpopcnt`` as optional compile
+flags with graceful fallback.
 """
 
 from __future__ import annotations
@@ -94,12 +95,6 @@ from repro.native.registry import (
     resolve_backend,
 )
 
-try:  # numba.prange parallelizes under njit(parallel=True); without
-    # numba the plain function still runs — prange degrades to range.
-    from numba import prange
-except ImportError:  # pragma: no cover - exercised on numba-less hosts
-    prange = range
-
 __all__ = [
     "CHAIN_KERNEL",
     "CHAIN_BACKENDS",
@@ -112,7 +107,6 @@ __all__ = [
     "draw_proposal_batch",
     "MULTICHAIN_KERNEL",
     "MULTICHAIN_BACKENDS",
-    "multichain_block",
     "multichain_backend_available",
     "multichain_backend_error",
     "multichain_kernel",
@@ -124,7 +118,7 @@ __all__ = [
 # reference engine is called "numpy"; "scipy" is accepted as an alias so
 # one REPRO_KERNEL_BACKEND value can force the reference engine of both
 # the counting pass and the chain.
-CHAIN_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
+CHAIN_BACKENDS = ("auto", "numpy", "scipy", "cext")
 
 
 def draw_proposal_batch(
@@ -188,7 +182,7 @@ def chain_block(
     """
 
     def popcount(v):
-        # Branch-free SWAR popcount; identical in the C twin, and exact
+        # Branch-free SWAR popcount; identical in the C kernel, and exact
         # for any non-negative int64 (Kronecker ids are < 2^k).
         v = v - ((v >> 1) & 0x5555555555555555)
         v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
@@ -247,8 +241,8 @@ def chain_block(
             n_touched += 1
         # Insertion-sort the event list ascending: event counts are tiny
         # (2·(deg i + deg j)) and mostly short, where insertion sort beats
-        # anything with setup cost — and identical ordering across the
-        # twins keeps the accumulation sequence bit-reproducible.
+        # anything with setup cost — and identical ordering in the C
+        # kernel keeps the accumulation sequence bit-reproducible.
         for a in range(1, n_touched):
             key = touched[a]
             b = a - 1
@@ -287,7 +281,7 @@ def chain_block(
 
 # The cext backend: chain_block transliterated to C.  Kept in lockstep
 # with the Python loop nest above — the chain equivalence suite
-# cross-checks every backend cell on every run.
+# cross-checks it against the numpy reference on every run.
 _C_SOURCE = """\
 #include <stdint.h>
 
@@ -412,8 +406,7 @@ def _smoke_test(kernel: Callable) -> None:
     Path graph 0–1–2–3 at k=2, identity σ, a synthetic score table: the
     batch accepts a below-threshold negative delta, two non-negative
     deltas, then rejects a negative delta above its threshold.  Catches a
-    miscompiled or ABI-mismatched kernel at probe time; doubles as the
-    numba warm-up compile.
+    miscompiled or ABI-mismatched kernel at probe time.
     """
     indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
     indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
@@ -456,7 +449,6 @@ _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 CHAIN_KERNEL = NativeKernel(
     name="chain",
-    python_impl=chain_block,
     c_source=_C_SOURCE,
     c_symbol="repro_chain_block",
     c_restype=ctypes.c_int64,
@@ -501,9 +493,9 @@ def chain_kernel(name: str) -> Callable:
 def resolve_chain_backend(backend: str | None = None) -> str:
     """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
 
-    Returns one of ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.PermutationSampler`), ``numba``,
-    or ``cext``.  ``auto`` prefers the fused engines; ``scipy`` (the
+    Returns ``numpy`` (the pure-Python reference inside
+    :class:`~repro.kronecker.likelihood.PermutationSampler`) or ``cext``.
+    ``auto`` prefers the compiled engine; ``scipy`` (the
     counting knob's reference name) is accepted as an alias for
     ``numpy``, so one environment value drives both kernel families.
     Naming an unavailable engine raises :class:`ValidationError` with the
@@ -534,151 +526,20 @@ def available_chain_backends() -> tuple[str, ...]:
 MULTICHAIN_BACKENDS = CHAIN_BACKENDS
 
 
-def multichain_block(
-    indptr,
-    indices,
-    n_chains,
-    n_nodes,
-    sigma_all,
-    k,
-    score_all,
-    hist_all,
-    counts_all,
-    touched_all,
-    touched_len,
-    stats_all,
-    i_all,
-    j_all,
-    u_all,
-    stream_len,
-    start,
-    stop,
-    accepted_all,
-    n_threads,
-):
-    """Execute proposals ``[start, stop)`` of S pre-drawn streams in place.
-
-    Stacked per-chain state is passed as flat C-contiguous arrays: chain
-    ``c`` owns ``sigma_all[c·n_nodes:]``, the ``(k+1)²``-long slices of
-    ``score_all`` / ``hist_all`` / ``counts_all`` at ``c·(k+1)²``, the
-    ``touched_len``-long event scratch at ``c·touched_len``, and the
-    draw-contract streams ``i_all``/``j_all``/``u_all`` at
-    ``c·stream_len``.  ``accepted_all[c]`` is *set* to the number of
-    accepted swaps of this call (the caller accumulates);
-    ``stats_all[c]`` accumulates score-table touches exactly like the
-    solo kernel's ``stats[0]``.  ``n_threads`` only shards chains across
-    OpenMP/numba threads — per-chain arithmetic is untouched, so results
-    are bit-identical for any thread count.  Returns the total accepted
-    across chains.
-
-    Within a chain this is the :func:`chain_block` contract with the
-    popcount-identity cell derivation (see the module docstring):
-    integer-exact, so trajectories match the solo kernel bit for bit.
-    """
-
-    def popcount(v):
-        # Branch-free SWAR popcount; the C twin uses the compiler
-        # builtin, which returns identical values for Kronecker ids.
-        v = v - ((v >> 1) & 0x5555555555555555)
-        v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
-        v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
-        v = v + (v >> 8)
-        v = v + (v >> 16)
-        v = v + (v >> 32)
-        return v & 0x7F
-
-    n_cells = (k + 1) * (k + 1)
-    for c in prange(n_chains):
-        s0 = c * n_nodes
-        g0 = c * n_cells
-        t0 = c * touched_len
-        d0 = c * stream_len
-        accepted = 0
-        touches = 0
-        for t in range(start, stop):
-            i = i_all[d0 + t]
-            j = j_all[d0 + t]
-            id_i = sigma_all[s0 + i]
-            id_j = sigma_all[s0 + j]
-            # Popcount identity: cell row z = (k − pc(id)) − pc(wid) + o,
-            # so the two k − pc(id) terms hoist out of the neighbor loops
-            # and each neighbor costs three popcounts instead of four.
-            zi = k - popcount(id_i)
-            zj = k - popcount(id_j)
-            n_touched = 0
-            for idx in range(indptr[i], indptr[i + 1]):
-                w = indices[idx]
-                if w == j:
-                    continue
-                wid = sigma_all[s0 + w]
-                zw = zi - popcount(wid)
-                o = popcount(id_i & wid)
-                cell = (zw + o) * (k + 1) + o
-                counts_all[g0 + cell] -= 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-                o = popcount(id_j & wid)
-                cell = (zw - zi + zj + o) * (k + 1) + o
-                counts_all[g0 + cell] += 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-            for idx in range(indptr[j], indptr[j + 1]):
-                w = indices[idx]
-                if w == i:
-                    continue
-                wid = sigma_all[s0 + w]
-                zw = zj - popcount(wid)
-                o = popcount(id_j & wid)
-                cell = (zw + o) * (k + 1) + o
-                counts_all[g0 + cell] -= 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-                o = popcount(id_i & wid)
-                cell = (zw - zj + zi + o) * (k + 1) + o
-                counts_all[g0 + cell] += 1
-                touched_all[t0 + n_touched] = cell
-                n_touched += 1
-            for a in range(1, n_touched):
-                key = touched_all[t0 + a]
-                b = a - 1
-                while b >= 0 and touched_all[t0 + b] > key:
-                    touched_all[t0 + b + 1] = touched_all[t0 + b]
-                    b -= 1
-                touched_all[t0 + b + 1] = key
-            delta = 0.0
-            previous = -1
-            for a in range(n_touched):
-                cell = touched_all[t0 + a]
-                if cell == previous:
-                    continue
-                previous = cell
-                if counts_all[g0 + cell] != 0:
-                    delta += counts_all[g0 + cell] * score_all[g0 + cell]
-                    touches += 1
-            if delta >= 0.0 or u_all[d0 + t] < delta:
-                sigma_all[s0 + i] = id_j
-                sigma_all[s0 + j] = id_i
-                accepted += 1
-                for a in range(n_touched):
-                    cell = touched_all[t0 + a]
-                    if counts_all[g0 + cell] != 0:
-                        hist_all[g0 + cell] += counts_all[g0 + cell]
-                        counts_all[g0 + cell] = 0
-            else:
-                for a in range(n_touched):
-                    counts_all[g0 + touched_all[t0 + a]] = 0
-        accepted_all[c] = accepted
-        stats_all[c] += touches
-    total = 0
-    for c in range(n_chains):
-        total += accepted_all[c]
-    return total
-
-
-# The cext twin of multichain_block.  Kept in lockstep with the Python
-# loop nest above; the only deviations are the compiler-builtin popcount
-# (identical values) and the OpenMP pragma (inert without -fopenmp, and
-# chains are data-independent, so threading never changes results).
+# The cext multichain kernel: proposals [start, stop) of S pre-drawn
+# streams, executed in place.  Stacked per-chain state is passed as flat
+# C-contiguous arrays: chain c owns sigma_all[c*n_nodes:], the
+# (k+1)^2-long slices of score_all / hist_all / counts_all at c*(k+1)^2,
+# the touched_len-long event scratch at c*touched_len, and the
+# draw-contract streams i_all/j_all/u_all at c*stream_len.
+# accepted_all[c] is *set* to the accepted swaps of this call (the caller
+# accumulates); stats_all[c] accumulates score-table touches exactly like
+# the solo kernel's stats[0].  Returns the total accepted across chains.
+#
+# Within a chain this is the chain_block contract with the
+# popcount-identity cell derivation (see the module docstring).  The only
+# other deviation is the OpenMP pragma: inert without -fopenmp, and
+# chains are data-independent, so n_threads never changes results.
 _MULTICHAIN_C_SOURCE = """\
 #include <stdint.h>
 
@@ -893,7 +754,6 @@ def _multichain_smoke_test(kernel: Callable) -> None:
 
 MULTICHAIN_KERNEL = NativeKernel(
     name="multichain",
-    python_impl=multichain_block,
     c_source=_MULTICHAIN_C_SOURCE,
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
@@ -920,7 +780,6 @@ MULTICHAIN_KERNEL = NativeKernel(
         ctypes.c_int64,  # n_threads
     ],
     smoke_test=_multichain_smoke_test,
-    numba_parallel=True,
     c_optional_flags=("-fopenmp", "-mpopcnt"),
 )
 
@@ -938,7 +797,8 @@ def multichain_backend_error(name: str) -> str | None:
 def multichain_kernel(name: str) -> Callable:
     """The batch kernel of an *available* fused multichain backend.
 
-    The callable has the :func:`multichain_block` signature and contract.
+    The callable has the ``repro_multichain_block`` signature and
+    contract documented beside the C source.
     """
     return MULTICHAIN_KERNEL.kernel(name)
 
@@ -947,7 +807,7 @@ def resolve_multichain_backend(backend: str | None = None) -> str:
     """The concrete multichain engine: argument, else environment.
 
     Same contract as :func:`resolve_chain_backend` — ``auto`` prefers the
-    fused engines and silently falls back to the ``numpy`` reference (a
+    compiled engine and silently falls back to the ``numpy`` reference (a
     plain loop over per-chain reference engines inside
     :class:`~repro.kronecker.likelihood.MultiChainSampler`); naming an
     unavailable engine raises :class:`ValidationError`.  Every engine and

@@ -1,32 +1,29 @@
 """The native-kernel backend registry: probe, compile-cache, loud failure.
 
-PR 3 introduced fused counting kernels with two execution engines — a
-numba-jitted Python loop nest and the identical loop compiled from C via
-the system compiler and called through :mod:`ctypes` — plus the machinery
-around them: lazy availability probing with memoized failure reasons,
-compile-once shared-library caching with atomic installs, and the
-``REPRO_KERNEL_BACKEND`` resolution contract (``auto`` prefers the fused
-engines and silently falls back to the pure-Python reference; *naming* an
-unavailable engine fails loudly).
+Every native kernel in the package is one loop nest compiled from C via
+the system compiler and called through :mod:`ctypes` (the ``cext``
+engine), beside a pure-Python reference engine that lives with its
+caller.  This module hosts the machinery around the compiled engine:
+lazy availability probing with memoized failure reasons, compile-once
+shared-library caching with atomic installs, and the
+``REPRO_KERNEL_BACKEND`` resolution contract (``auto`` prefers the
+compiled engine and silently falls back to the pure-Python reference;
+*naming* an unavailable engine fails loudly).
 
-That machinery is not counting-specific, and the KronFit permutation
-chain needs exactly the same treatment, so this module hosts it for every
-native kernel in the package:
-
-* :class:`NativeKernel` — one kernel described twice (a numba-jittable
-  Python loop nest and an identical C function), with per-backend lazy
-  probing memoized in :attr:`NativeKernel.states`.  Tests monkeypatch
-  that dict to simulate hosts without numba or a compiler.
+* :class:`NativeKernel` — one kernel's C function, with lazy probing
+  memoized in :attr:`NativeKernel.states`.  Tests monkeypatch that dict
+  to simulate hosts without a compiler.
 * :func:`compile_shared_library` — compile a C source into a per-user
   cached ``.so`` (keyed by a hash of source + flags; concurrent probes
   build to private scratch files and install with atomic renames).
 * :func:`resolve_backend` / :func:`auto_backend` /
   :func:`available_backends` — the shared resolution contract,
   parameterized by the kernel and the name of its pure-Python reference
-  engine (``scipy`` for the counting pass, ``numpy`` for the chain).
+  engine (``scipy`` for the counting pass, ``numpy`` for the chain and
+  the sampler).
 
-Concrete kernels live next door: :mod:`repro.native.counting` and
-:mod:`repro.native.chain`.
+Concrete kernels live next door: :mod:`repro.native.counting`,
+:mod:`repro.native.chain` and :mod:`repro.native.sampling`.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ __all__ = [
 ]
 
 # Compiled backend names, in the preference order `auto` resolution uses.
-NATIVE_BACKENDS = ("numba", "cext")
+NATIVE_BACKENDS = ("cext",)
 
 # The environment knob shared by every native kernel (counting and chain).
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
@@ -75,7 +72,7 @@ OPENMP_ENV = "REPRO_OPENMP"
 
 # Compile flags for every cext kernel.  -ffp-contract=off forbids the
 # compiler from fusing a*b+c into an FMA: the chain kernel accumulates
-# float64 scores and must round exactly like the numba and numpy engines
+# float64 scores and must round exactly like the numpy reference engine
 # on every host (the counting kernel is pure integer, where the flag is
 # inert).  The flags participate in the cache key, so changing them
 # recompiles.
@@ -160,32 +157,24 @@ def resolve_kernel_threads(threads: int | None = None) -> int:
 
 
 class NativeKernel:
-    """One kernel implemented as twin loop nests: Python (numba) and C.
+    """One kernel implemented as a C loop nest, compiled on first use.
 
     Parameters
     ----------
     name:
         Kernel identifier ("counting", "chain"); names the cached ``.so``.
-    python_impl:
-        The plain-Python loop nest.  Must be numba-jittable (it is *not*
-        used as an execution engine itself — the pure-Python reference
-        paths live with their callers).
     c_source / c_symbol:
-        The identical loop nest as a C translation unit and the exported
-        function name.
+        The loop nest as a C translation unit and the exported function
+        name.  (The pure-Python reference engines live with their
+        callers.)
     c_restype / c_argtypes:
         The ctypes signature of ``c_symbol``.
     smoke_test:
-        Callable run against every probed kernel on a hand-checked
+        Callable run against the probed kernel on a hand-checked
         instance; raising turns the probe into "backend unavailable"
-        instead of corrupting results later.  Doubles as the numba
-        warm-up compile.
-    numba_parallel:
-        Jit the Python loop nest with ``parallel=True`` so its
-        ``numba.prange`` loops shard across threads (the multichain
-        kernel); plain kernels leave it off.
+        instead of corrupting results later.
     c_optional_flags:
-        Extra compile flags that improve the C twin but are not required
+        Extra compile flags that improve the C kernel but are not required
         for correctness (``-fopenmp``, ``-mpopcnt``).  Each is dropped
         up-front when the host can't honour it, and the whole set falls
         back to the base flags if the compile still fails; the flags that
@@ -195,23 +184,19 @@ class NativeKernel:
     def __init__(
         self,
         name: str,
-        python_impl: Callable,
         c_source: str,
         c_symbol: str,
         c_restype,
         c_argtypes: Sequence,
         smoke_test: Callable[[Callable], None],
-        numba_parallel: bool = False,
         c_optional_flags: Sequence[str] = (),
     ) -> None:
         self.name = name
-        self.python_impl = python_impl
         self.c_source = c_source
         self.c_symbol = c_symbol
         self.c_restype = c_restype
         self.c_argtypes = list(c_argtypes)
         self.smoke_test = smoke_test
-        self.numba_parallel = numba_parallel
         self.c_optional_flags = tuple(c_optional_flags)
         # The optional flags the cext probe actually compiled with (None
         # until the probe has run).  CI's OpenMP-less fallback check
@@ -252,38 +237,15 @@ class NativeKernel:
             raise KeyError(f"unknown fused backend {backend!r}")
         state = self.states.get(backend)
         if state is None:
-            probe = self._probe_numba if backend == "numba" else self._probe_cext
             try:
-                state = (probe(), None)
+                state = (self._probe_cext(), None)
             except Exception as error:  # unavailable, remember why
                 state = (None, str(error))
             self.states[backend] = state
         return state
 
-    def _probe_numba(self) -> Callable:
-        """Jit the Python loop nest and warm it on the smoke instance."""
-        try:
-            import numba
-        except ImportError as exc:
-            raise RuntimeError(
-                "numba is not installed (pip install numba, or the "
-                "'accel' extra of this package)"
-            ) from exc
-        # cache=True persists the compiled kernel next to its module, so
-        # new processes (CLI runs, pool workers under spawn) skip the
-        # multi-second JIT; an unwritable cache location degrades to a
-        # NumbaWarning plus an in-process compile, never an error.
-        kernel = numba.njit(
-            self.python_impl,
-            cache=True,
-            nogil=True,
-            parallel=self.numba_parallel,
-        )
-        self.smoke_test(kernel)
-        return kernel
-
     def _probe_cext(self) -> Callable:
-        """Compile the C twin into a cached shared library and load it.
+        """Compile the C source into a cached shared library and load it.
 
         Optional flags are tried first and dropped wholesale if the
         compile fails — a host without OpenMP support still gets the
@@ -396,12 +358,11 @@ def resolve_backend(
 ) -> str:
     """The concrete engine a pass/chain will run: argument, else environment.
 
-    ``auto`` (the default) resolves to the first available native engine —
-    ``numba``, then the compiled-C ``cext`` — and silently falls back to
-    the kernel's pure-Python ``reference`` when neither can run on this
-    host.  Explicitly requesting an unavailable engine raises a
-    :class:`ValidationError` naming the reason, so a pipeline that
-    *expects* the fused kernels fails loudly instead of quietly running
+    ``auto`` (the default) resolves to the compiled-C ``cext`` engine and
+    silently falls back to the kernel's pure-Python ``reference`` when it
+    cannot run on this host.  Explicitly requesting an unavailable engine
+    raises a :class:`ValidationError` naming the reason, so a pipeline that
+    *expects* the compiled kernels fails loudly instead of quietly running
     slower.  ``aliases`` are extra names accepted for the reference engine
     (the chain accepts the counting knob's ``scipy`` as its ``numpy``),
     keeping one ``REPRO_KERNEL_BACKEND`` value valid for both kernels.

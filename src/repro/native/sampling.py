@@ -68,7 +68,6 @@ from repro.native.registry import (
 __all__ = [
     "SAMPLER_KERNEL",
     "SAMPLER_BACKENDS",
-    "sampler_block",
     "sampler_backend_available",
     "sampler_backend_error",
     "sampler_kernel",
@@ -81,7 +80,7 @@ __all__ = [
 # reference engine is called "numpy"; "scipy" is accepted as an alias so
 # one REPRO_KERNEL_BACKEND value can force the reference engine of the
 # counting pass, the chain, and the sampler at once.
-SAMPLER_BACKENDS = ("auto", "numpy", "scipy", "numba", "cext")
+SAMPLER_BACKENDS = ("auto", "numpy", "scipy", "cext")
 
 
 def choose_table(k: int) -> np.ndarray:
@@ -99,126 +98,13 @@ def choose_table(k: int) -> np.ndarray:
     return table
 
 
-def sampler_block(
-    k,
-    n_classes,
-    z_arr,
-    x_arr,
-    counts,
-    offsets,
-    class_sizes,
-    choose,
-    uniforms,
-    keys_out,
-    table_keys,
-    table_stamp,
-    capacity,
-):
-    """Select and unrank every class's pairs (numba-jittable loop nest).
-
-    Per class ``c`` (skipped when ``counts[c] == 0``): Floyd's algorithm
-    over ``uniforms[offsets[c] : offsets[c]+counts[c]]`` emits distinct
-    class indices, each unranked to a pair key written at the same slot
-    of ``keys_out``.  ``table_keys``/``table_stamp`` (length ``capacity``,
-    a power of two ≥ 2·max(counts)) back the epoch-stamped membership
-    table.  Returns the number of keys written (Σ counts).
-    """
-    kp1 = k + 1
-    mask = capacity - 1
-    full = (1 << k) - 1
-    total = 0
-    for c in range(n_classes):
-        count = counts[c]
-        if count == 0:
-            continue
-        z = z_arr[c]
-        x = x_arr[c]
-        size = class_sizes[c]
-        base = offsets[c]
-        epoch = c + 1
-        n_orient = 1 << (x - 1)
-        c2 = choose[(k - z) * kp1 + x]
-        emitted = 0
-        for t in range(size - count, size):
-            u = uniforms[base + emitted]
-            r = int(u * (t + 1.0))
-            if r > t:
-                r = t
-            slot = r & mask
-            found = False
-            while table_stamp[slot] == epoch:
-                if table_keys[slot] == r:
-                    found = True
-                    break
-                slot = (slot + 1) & mask
-            if found:
-                idx = t
-                slot = t & mask
-                while table_stamp[slot] == epoch:
-                    slot = (slot + 1) & mask
-            else:
-                idx = r
-            table_keys[slot] = idx
-            table_stamp[slot] = epoch
-            # unrank idx -> (a, b, w) -> bit masks -> pair key
-            a = idx // (c2 * n_orient)
-            rem = idx % (c2 * n_orient)
-            b = rem // n_orient
-            w = rem % n_orient
-            zero_mask = 0
-            slots = z
-            aa = a
-            for level in range(k):
-                if slots == 0:
-                    break
-                cnt = choose[(k - 1 - level) * kp1 + (slots - 1)]
-                if aa < cnt:
-                    zero_mask |= 1 << (k - 1 - level)
-                    slots -= 1
-                else:
-                    aa -= cnt
-            differ_mask = 0
-            m = k - z
-            pos = 0
-            bb = b
-            slots = x
-            for level in range(k):
-                if slots == 0:
-                    break
-                bit = 1 << (k - 1 - level)
-                if zero_mask & bit:
-                    continue
-                cnt = choose[(m - 1 - pos) * kp1 + (slots - 1)]
-                if bb < cnt:
-                    differ_mask |= bit
-                    slots -= 1
-                else:
-                    bb -= cnt
-                pos += 1
-            one_mask = full & ~zero_mask & ~differ_mask
-            u_val = one_mask
-            v_val = one_mask
-            first = True
-            tw = 0
-            for level in range(k):
-                bit = 1 << (k - 1 - level)
-                if not (differ_mask & bit):
-                    continue
-                if first:
-                    v_val |= bit
-                    first = False
-                else:
-                    if (w >> tw) & 1:
-                        u_val |= bit
-                    else:
-                        v_val |= bit
-                    tw += 1
-            keys_out[base + emitted] = (u_val << k) | v_val
-            emitted += 1
-        total += emitted
-    return total
-
-
+# The cext backend: select and unrank every class's pairs.  Per class c
+# (skipped when counts[c] == 0), Floyd's algorithm over
+# uniforms[offsets[c] : offsets[c]+counts[c]] emits distinct class
+# indices, each unranked to a pair key written at the same slot of
+# keys_out.  table_keys/table_stamp (length capacity, a power of two
+# >= 2*max(counts)) back the epoch-stamped membership table.  Returns the
+# number of keys written (the sum of counts).
 _C_SOURCE = r"""
 #include <stdint.h>
 
@@ -363,8 +249,7 @@ def _smoke_test(kernel: Callable) -> None:
     (two collisions emit ``t``) and the epoch-stamped table is reused
     across classes without clearing.  The expected keys were derived by
     hand from the unranking contract.  Catches a miscompiled or
-    ABI-mismatched kernel at probe time; doubles as the numba warm-up
-    compile.
+    ABI-mismatched kernel at probe time.
     """
     k = 2
     z_arr = np.array([0, 0, 1], dtype=np.int64)
@@ -394,7 +279,6 @@ _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
-    python_impl=sampler_block,
     c_source=_C_SOURCE,
     c_symbol="repro_sampler_block",
     c_restype=ctypes.c_int64,
@@ -430,7 +314,8 @@ def sampler_backend_error(name: str) -> str | None:
 def sampler_kernel(name: str) -> Callable:
     """The batch kernel of an *available* fused sampler backend.
 
-    The callable has the :func:`sampler_block` signature and contract.
+    The callable has the ``repro_sampler_block`` signature and contract
+    documented beside the C source.
     """
     return SAMPLER_KERNEL.kernel(name)
 
@@ -439,7 +324,7 @@ def resolve_sampler_backend(backend: str | None = None) -> str:
     """The concrete engine :func:`sample_skg` will select pairs with.
 
     Same contract as the counting and chain kernels: ``auto`` prefers the
-    fused engines and silently falls back to the numpy reference; naming
+    compiled engine and silently falls back to the numpy reference; naming
     an unavailable engine raises.  ``scipy`` is accepted as an alias for
     the reference so one ``REPRO_KERNEL_BACKEND`` value can force every
     kernel family onto its reference engine.

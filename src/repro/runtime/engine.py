@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
@@ -215,7 +216,8 @@ def resolve_trial_retries(retries: int | None = None) -> int:
 
 def resolve_trial_timeout(timeout: float | None = None) -> float | None:
     """Resolve the per-attempt timeout in seconds: argument, then
-    ``REPRO_TRIAL_TIMEOUT``, then ``None`` (no timeout)."""
+    ``REPRO_TRIAL_TIMEOUT``, then ``None`` (no timeout).  Must be positive
+    and finite — ``inf`` would overflow the watchdog's timer."""
     if timeout is None:
         raw = os.environ.get(TRIAL_TIMEOUT_ENV)
         if raw is None or raw == "":
@@ -228,8 +230,10 @@ def resolve_trial_timeout(timeout: float | None = None) -> float | None:
                 f"number of seconds, got {raw!r}"
             ) from exc
     timeout = float(timeout)
-    if not timeout > 0:
-        raise ValidationError(f"trial timeout must be positive, got {timeout}")
+    if not (timeout > 0 and math.isfinite(timeout)):
+        raise ValidationError(
+            f"trial timeout must be positive and finite, got {timeout}"
+        )
     return timeout
 
 
@@ -251,8 +255,10 @@ def resolve_retry_backoff(backoff: float | None = None) -> float:
                 f"number of seconds, got {raw!r}"
             ) from exc
     backoff = float(backoff)
-    if backoff < 0:
-        raise ValidationError(f"retry backoff must be >= 0, got {backoff}")
+    if not (backoff >= 0 and math.isfinite(backoff)):
+        raise ValidationError(
+            f"retry backoff must be >= 0 and finite, got {backoff}"
+        )
     return backoff
 
 

@@ -63,6 +63,7 @@ Requests are not retried by the server, so ``slow_request`` and
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -254,8 +255,8 @@ def _field_float(
         value = float(raw)
     except ValueError as exc:
         raise error(clause, f"{key} must be a number, got {raw!r}") from exc
-    if not value > 0:
-        raise error(clause, f"{key} must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise error(clause, f"{key} must be positive and finite, got {value}")
     return value
 
 

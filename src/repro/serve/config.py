@@ -32,6 +32,7 @@ surface.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -122,26 +123,30 @@ def resolve_serve_queue(queue: int | None = None) -> int:
     return check_integer(queue, "serve queue", minimum=1)
 
 
+def _check_seconds(value: float, name: str) -> float:
+    """A deadline must be positive and finite: ``inf`` would overflow the
+    timers that enforce it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
 def resolve_serve_timeout(timeout: float | None = None) -> float:
     """Per-request deadline in seconds: argument, then
     ``REPRO_SERVE_TIMEOUT``, then {default}s."""
     if timeout is None:
-        return _env_float(SERVE_TIMEOUT_ENV, DEFAULT_TIMEOUT, positive=True)
-    timeout = float(timeout)
-    if not timeout > 0:
-        raise ValidationError(f"serve timeout must be positive, got {timeout}")
-    return timeout
+        timeout = _env_float(SERVE_TIMEOUT_ENV, DEFAULT_TIMEOUT, positive=True)
+        return _check_seconds(timeout, SERVE_TIMEOUT_ENV)
+    return _check_seconds(float(timeout), "serve timeout")
 
 
 def resolve_serve_drain(drain: float | None = None) -> float:
     """Graceful-drain deadline in seconds: argument, then
     ``REPRO_SERVE_DRAIN``, then {default}s."""
     if drain is None:
-        return _env_float(SERVE_DRAIN_ENV, DEFAULT_DRAIN, positive=True)
-    drain = float(drain)
-    if not drain > 0:
-        raise ValidationError(f"drain deadline must be positive, got {drain}")
-    return drain
+        drain = _env_float(SERVE_DRAIN_ENV, DEFAULT_DRAIN, positive=True)
+        return _check_seconds(drain, SERVE_DRAIN_ENV)
+    return _check_seconds(float(drain), "drain deadline")
 
 
 def resolve_serve_breaker(threshold: int | None = None) -> int:

@@ -17,14 +17,13 @@ This module fixes both costs:
   knob; the auto-tuned default packs rows until a block's predicted
   product size reaches a fixed entry budget, so small graphs run as one
   block (no overhead) and large graphs stay within a bounded footprint.
-* Three interchangeable **backends** execute the pass, selected by the
-  ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``numba`` |
-  ``cext``): the blocked scipy SpGEMM, and two *fused* kernels
-  (:mod:`repro.native.counting`) that walk the CSR rows directly with a
-  dense accumulator and never materialize a product entry — a
-  numba-jitted loop nest when numba is installed, and the same loop nest
+* Two interchangeable **backends** execute the pass, selected by the
+  ``REPRO_KERNEL_BACKEND`` knob (``auto`` | ``scipy`` | ``cext``): the
+  blocked scipy SpGEMM, and a *fused* kernel
+  (:mod:`repro.native.counting`) that walks the CSR rows directly with a
+  dense accumulator and never materializes a product entry — a loop nest
   compiled from C through the system compiler.  ``auto`` (the default)
-  prefers the fused kernels and silently falls back to scipy; naming an
+  prefers the fused kernel and silently falls back to scipy; naming an
   unavailable backend fails loudly with a :class:`ValidationError`.  All
   arithmetic is integer-exact, so every backend returns **bit-identical**
   results for every block size (enforced by
@@ -173,9 +172,9 @@ def resolve_block_size(block_size: int | None = None) -> int:
 def resolve_kernel_backend(backend: str | None = None) -> str:
     """The concrete backend the pass will run: argument, else environment.
 
-    ``auto`` (the default) resolves to the first available fused backend —
-    ``numba``, then the compiled-C ``cext`` — and silently falls back to
-    ``scipy`` when neither can run on this host.  Explicitly requesting an
+    ``auto`` (the default) resolves to the fused compiled-C ``cext``
+    backend and silently falls back to ``scipy`` when it cannot run on
+    this host.  Explicitly requesting an
     unavailable backend raises a :class:`ValidationError` naming the
     reason, so a pipeline that *expects* the fused kernels fails loudly
     instead of quietly running slower.  Every backend returns bit-identical
@@ -328,7 +327,7 @@ def triangle_pass(
     """
     n = graph.n_nodes
     # Validate every knob before the edgeless early return, so a
-    # misconfigured pipeline (bad backend name, unavailable numba, broken
+    # misconfigured pipeline (bad backend name, no C compiler, broken
     # n_jobs) fails loudly even when its first graph happens to be empty.
     requested = backend if backend is not None else os.environ.get(KERNEL_BACKEND_ENV)
     backend = resolve_kernel_backend(backend)

@@ -89,11 +89,11 @@ class TestKronFitEdgeCases:
         from repro.errors import ValidationError
 
         monkeypatch.setitem(
-            CHAIN_KERNEL.states, "numba", (None, "numba is not installed")
+            CHAIN_KERNEL.states, "cext", (None, "no C compiler found")
         )
         graph = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValidationError, match="numba is not installed"):
-            KronFitEstimator(n_iterations=1, backend="numba").fit(graph)
+        with pytest.raises(ValidationError, match="no C compiler found"):
+            KronFitEstimator(n_iterations=1, backend="cext").fit(graph)
 
 
 class TestAcceptanceRateOnTinyGraphs:

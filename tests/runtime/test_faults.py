@@ -112,6 +112,8 @@ class TestParsing:
             "trial_error:index=1:seconds=5",  # seconds not allowed here
             "slow_trial:index=1",  # needs seconds=
             "slow_trial:index=1:seconds=0",  # must be positive
+            "slow_trial:index=1:seconds=inf",  # must be finite
+            "slow_trial:index=1:seconds=nan",
             "worker_crash:index=1:nth=2",  # exactly one selector
             "worker_crash:attempts=1",  # no selector at all
             "worker_crash:nth=0",  # nth is 1-based
@@ -207,12 +209,27 @@ class TestKnobResolution:
     def test_invalid_direct_values(self):
         with pytest.raises(ValidationError):
             resolve_trial_retries(-1)
-        with pytest.raises(ValidationError):
-            resolve_trial_timeout(0)
-        with pytest.raises(ValidationError):
-            resolve_retry_backoff(-0.1)
+        for timeout in (0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="trial timeout"):
+                resolve_trial_timeout(timeout)
+        for backoff in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="retry backoff"):
+                resolve_retry_backoff(backoff)
         with pytest.raises(ValidationError):
             resolve_on_error("ignore")
+
+    def test_non_finite_environment_values_rejected(self, monkeypatch):
+        """inf would overflow the watchdog's timer and nan would silently
+        disable the backoff, so both fail at resolution."""
+        for resolver, env in (
+            (resolve_trial_timeout, TRIAL_TIMEOUT_ENV),
+            (resolve_retry_backoff, TRIAL_BACKOFF_ENV),
+        ):
+            for raw in ("inf", "-inf", "nan"):
+                monkeypatch.setenv(env, raw)
+                with pytest.raises(ValidationError, match="finite"):
+                    resolver()
+            monkeypatch.delenv(env)
 
     def test_bad_fault_spec_fails_even_a_serial_run(self, monkeypatch):
         monkeypatch.setenv(FAULT_INJECT_ENV, "not-a-kind:index=1")
@@ -457,6 +474,9 @@ class TestServeFaultGrammar:
 
         with pytest.raises(ValidationError, match="seconds="):
             parse_serve_fault_plan("slow_request:nth=1")
+        for seconds in ("inf", "1e309", "nan"):
+            with pytest.raises(ValidationError, match="finite"):
+                parse_serve_fault_plan(f"slow_request:nth=1:seconds={seconds}")
 
     def test_nth_is_mandatory(self):
         from repro.runtime import parse_serve_fault_plan

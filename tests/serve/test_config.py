@@ -67,6 +67,13 @@ class TestKnobResolution:
         monkeypatch.setenv(SERVE_TIMEOUT_ENV, "soon")
         with pytest.raises(ValidationError, match=SERVE_TIMEOUT_ENV):
             resolve_serve_timeout()
+        for raw in ("inf", "nan"):
+            monkeypatch.setenv(SERVE_TIMEOUT_ENV, raw)
+            with pytest.raises(ValidationError, match=SERVE_TIMEOUT_ENV):
+                resolve_serve_timeout()
+            monkeypatch.setenv(SERVE_DRAIN_ENV, raw)
+            with pytest.raises(ValidationError, match=SERVE_DRAIN_ENV):
+                resolve_serve_drain()
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValidationError):
@@ -75,6 +82,10 @@ class TestKnobResolution:
             resolve_serve_timeout(0.0)
         with pytest.raises(ValidationError):
             resolve_serve_drain(-1.0)
+        with pytest.raises(ValidationError, match="finite"):
+            resolve_serve_timeout(float("inf"))
+        with pytest.raises(ValidationError, match="finite"):
+            resolve_serve_drain(float("inf"))
         with pytest.raises(ValidationError):
             resolve_serve_breaker(0)
         with pytest.raises(ValidationError):
