@@ -72,11 +72,7 @@ from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import PermutationSampler
 from repro.kronecker.sampling import sample_skg
-from repro.native.chain import (
-    available_chain_backends,
-    chain_backend_available,
-    chain_backend_error,
-)
+from repro.native.chain import CHAIN_KERNEL
 from repro.native.registry import NATIVE_BACKENDS
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
@@ -98,13 +94,13 @@ MULTISTART_STARTS = 8
 MULTISTART_JOBS = (1, 4)
 MULTISTART_FLOOR = 2.0
 
-# Batched multichain column (PR 10): all S chains advanced in one
-# native call vs the PR 5 pool fan-out of S solo fits.
-MULTICHAIN_STARTS = (8, 64)
-MULTICHAIN_QUICK_STARTS = (8,)
-MULTICHAIN_THREADS = (1, 2)
-MULTICHAIN_FANOUT_JOBS = 4
-MULTICHAIN_FLOOR = 2.0
+# Batched multichain column: all S chains advanced in one native call
+# vs the pool fan-out of S solo fits.
+BATCHED_STARTS = (8, 64)
+BATCHED_QUICK_STARTS = (8,)
+BATCHED_THREADS = (1, 2)
+BATCHED_FANOUT_JOBS = 4
+BATCHED_FLOOR = 2.0
 
 # Table-1-scale chain parameters: n_iterations × (warmup + samples ×
 # spacing) = 28 000 proposals per fit.
@@ -147,10 +143,10 @@ def bench_chain(graph: Graph, k: int, repeats: int, quick: bool) -> dict:
     reference = _chain_state(graph, k, "numpy", EQUIVALENCE_PROPOSALS)
     records: dict[str, dict] = {}
     for engine in chain_engines():
-        if engine != "numpy" and not chain_backend_available(engine):
+        if engine != "numpy" and not CHAIN_KERNEL.available(engine):
             records[engine] = {
                 "available": False,
-                "reason": chain_backend_error(engine),
+                "reason": CHAIN_KERNEL.error(engine),
             }
             continue
         state = _chain_state(graph, k, engine, EQUIVALENCE_PROPOSALS)
@@ -201,10 +197,10 @@ def bench_fit(graph: Graph, fit_params: dict) -> dict:
     records: dict[str, dict] = {}
     reference_initiator = None
     for engine in chain_engines():
-        if engine != "numpy" and not chain_backend_available(engine):
+        if engine != "numpy" and not CHAIN_KERNEL.available(engine):
             records[engine] = {
                 "available": False,
-                "reason": chain_backend_error(engine),
+                "reason": CHAIN_KERNEL.error(engine),
             }
             continue
         estimator = KronFitEstimator(
@@ -245,7 +241,7 @@ def usable_cores() -> int:
 def best_engine() -> str:
     """The fastest available chain engine (fused if any, else numpy)."""
     for engine in reversed(chain_engines()):
-        if engine == "numpy" or chain_backend_available(engine):
+        if engine == "numpy" or CHAIN_KERNEL.available(engine):
             return engine
     return "numpy"
 
@@ -312,7 +308,7 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     """Batched multichain fits vs the PR 5 pool fan-out.
 
     For each S the fan-out baseline (``multi_start="fanout"``, a warmed
-    pool of ``MULTICHAIN_FANOUT_JOBS`` workers) and the batched path
+    pool of ``BATCHED_FANOUT_JOBS`` workers) and the batched path
     (one native call advancing all S chains, at each kernel-thread
     count) are timed best-of-``repeats``.  The winning start, fitted
     initiator, and every chain's final log-likelihood must be
@@ -324,16 +320,16 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     records: dict = {
         "backend": engine,
         "params": fit_params,
-        "fanout_n_jobs": MULTICHAIN_FANOUT_JOBS,
+        "fanout_n_jobs": BATCHED_FANOUT_JOBS,
         "by_starts": {},
     }
-    for n_starts in MULTICHAIN_QUICK_STARTS if quick else MULTICHAIN_STARTS:
+    for n_starts in BATCHED_QUICK_STARTS if quick else BATCHED_STARTS:
         fanout = KronFitEstimator(
             initial=FIT_THETA,
             seed=SEED,
             backend=engine,
             n_starts=n_starts,
-            n_jobs=MULTICHAIN_FANOUT_JOBS,
+            n_jobs=BATCHED_FANOUT_JOBS,
             multi_start="fanout",
             **fit_params,
         )
@@ -346,12 +342,12 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
         row = {
             "winning_start": reference.start,
             "fanout": {
-                "n_jobs": MULTICHAIN_FANOUT_JOBS,
+                "n_jobs": BATCHED_FANOUT_JOBS,
                 "seconds": fanout_best,
             },
             "batched": {},
         }
-        for threads in MULTICHAIN_THREADS:
+        for threads in BATCHED_THREADS:
             batched = KronFitEstimator(
                 initial=FIT_THETA,
                 seed=SEED,
@@ -505,10 +501,10 @@ def _multichain_floor(results: list[dict], quick: bool) -> dict:
     cores = usable_cores()
     entry = {
         "workload": multistart_workload(quick),
-        "n_starts": MULTICHAIN_STARTS[0],
+        "n_starts": BATCHED_STARTS[0],
         "kernel_threads": 1,
-        "fanout_n_jobs": MULTICHAIN_FANOUT_JOBS,
-        "required": MULTICHAIN_FLOOR,
+        "fanout_n_jobs": BATCHED_FANOUT_JOBS,
+        "required": BATCHED_FLOOR,
         "measured": None,
         "usable_cores": cores,
         "asserted": False,
@@ -521,7 +517,7 @@ def _multichain_floor(results: list[dict], quick: bool) -> dict:
     if record is None:
         entry["skip_reason"] = "floor workload not benchmarked"
         return entry
-    row = record["multichain"]["by_starts"][str(MULTICHAIN_STARTS[0])]
+    row = record["multichain"]["by_starts"][str(BATCHED_STARTS[0])]
     entry["measured"] = row["batched"]["1"]["speedup_vs_fanout"]
     if quick:
         entry["skip_reason"] = "quick run"
@@ -662,7 +658,7 @@ def main(argv: list[str] | None = None) -> int:
         "repeats": arguments.repeats,
         "seed": SEED,
         "usable_cores": usable_cores(),
-        "chain_backends_available": list(available_chain_backends()),
+        "chain_backends_available": list(CHAIN_KERNEL.engines()),
         "fused_fit_floor": fused_floor,
         "multistart_floor": multistart_floor,
         "multichain_floor": multichain_floor,
@@ -719,15 +715,15 @@ def main(argv: list[str] | None = None) -> int:
             f"{multistart_floor['measured']:.2f}x"
         )
     if multichain_floor["asserted"]:
-        assert multichain_floor["measured"] >= MULTICHAIN_FLOOR, (
-            f"batched multichain S={MULTICHAIN_STARTS[0]} (kernel_threads=1) "
+        assert multichain_floor["measured"] >= BATCHED_FLOOR, (
+            f"batched multichain S={BATCHED_STARTS[0]} (kernel_threads=1) "
             f"is only {multichain_floor['measured']:.2f}x over the "
-            f"n_jobs={MULTICHAIN_FANOUT_JOBS} pool fan-out on "
-            f"{multichain_floor['workload']} (floor: {MULTICHAIN_FLOOR}x)"
+            f"n_jobs={BATCHED_FANOUT_JOBS} pool fan-out on "
+            f"{multichain_floor['workload']} (floor: {BATCHED_FLOOR}x)"
         )
         print(
             f"{multichain_floor['workload']} batched multichain "
-            f"{multichain_floor['measured']:.2f}x >= {MULTICHAIN_FLOOR}x floor"
+            f"{multichain_floor['measured']:.2f}x >= {BATCHED_FLOOR}x floor"
         )
     elif multichain_floor["measured"] is not None:
         print(

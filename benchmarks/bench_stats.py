@@ -63,7 +63,7 @@ from repro.native import counting as native_counting
 from repro.stats import kernels
 from repro.stats.clustering import local_clustering
 from repro.stats.counts import count_triangles, max_common_neighbors
-from repro.stats.kernels import available_kernel_backends, stats_context, triangle_pass
+from repro.stats.kernels import stats_context, triangle_pass
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
 # the committed artifact in sync.  2 = added schema_version itself (the
@@ -157,10 +157,10 @@ def bench_backends(graph: Graph, repeats: int) -> dict:
     scipy_result = triangle_pass(graph, None, "scipy")
     records: dict[str, dict] = {}
     for backend in ("scipy",) + native_counting.FUSED_BACKENDS:
-        if backend != "scipy" and not native_counting.backend_available(backend):
+        if backend != "scipy" and not native_counting.COUNTING_KERNEL.available(backend):
             records[backend] = {
                 "available": False,
-                "reason": native_counting.backend_error(backend),
+                "reason": native_counting.COUNTING_KERNEL.error(backend),
             }
             continue
         result = triangle_pass(graph, None, backend)
@@ -236,10 +236,10 @@ def bench_large_k(k: int, repeats: int) -> dict:
         }
     }
     for backend in native_counting.FUSED_BACKENDS:
-        if not native_sampling.sampler_backend_available(backend):
+        if not native_sampling.SAMPLER_KERNEL.available(backend):
             engines[backend] = {
                 "available": False,
-                "reason": native_sampling.sampler_backend_error(backend),
+                "reason": native_sampling.SAMPLER_KERNEL.error(backend),
             }
             continue
         graph = sample_skg(THETA, k, seed=seed, backend=backend)
@@ -440,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
         # consult at pass time.
         "block_size": configuration.block_size,
         "kernel_backend": configuration.kernel_backend,
-        "kernel_backends_available": list(available_kernel_backends()),
+        "kernel_backends_available": list(native_counting.COUNTING_KERNEL.engines()),
         "speedup_floor": {
             "workload": SPEEDUP_WORKLOAD,
             "required": SPEEDUP_FLOOR,

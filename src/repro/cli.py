@@ -94,13 +94,14 @@ from repro.core.estimator import PrivateKroneckerEstimator
 from repro.core.nonprivate import fit_kronfit, fit_kronmom
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.native.registry import KERNEL_THREADS_ENV, resolve_kernel_threads
-from repro.stats.kernels import (
+from repro.native.counting import COUNTING_KERNEL
+from repro.native.registry import (
     KERNEL_BACKEND_CHOICES,
     KERNEL_BACKEND_ENV,
-    resolve_block_size,
-    resolve_kernel_backend,
+    KERNEL_THREADS_ENV,
+    resolve_kernel_threads,
 )
+from repro.stats.kernels import resolve_block_size
 from repro.stats.summary import summarize
 from repro.utils.tables import TextTable
 from repro.utils.validation import check_integer
@@ -144,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         dest="kernel_threads",
         help=(
-            "threads the batched multichain kernel shards KronFit multi-start "
-            "chains across (sets REPRO_KERNEL_THREADS; 0 = all usable cores; "
-            "results are bit-identical for any value)"
+            "threads the chain kernel shards KronFit multi-start chains "
+            "across, at most one per chain (sets REPRO_KERNEL_THREADS; 0 = "
+            "all usable cores; results are bit-identical for any value)"
         ),
     )
     commands = parser.add_subparsers(dest="command", required=True)
@@ -443,10 +444,10 @@ def main(argv: list[str] | None = None) -> int:
             # Same pattern; resolving eagerly makes an unavailable backend
             # (e.g. --kernel-backend cext without a C compiler) fail loudly
             # here rather than mid-pipeline.
-            resolve_kernel_backend(arguments.kernel_backend)
+            COUNTING_KERNEL.resolve(arguments.kernel_backend)
             os.environ[KERNEL_BACKEND_ENV] = arguments.kernel_backend
         if arguments.kernel_threads is not None:
-            # Same pattern: the multichain kernel reads the knob wherever
+            # Same pattern: the chain kernel reads the knob wherever
             # a batched multi-start fit is constructed (including inside
             # pool workers, which inherit the environment).
             resolve_kernel_threads(arguments.kernel_threads)

@@ -46,9 +46,10 @@ Counting-kernel knobs (consumed by :mod:`repro.stats.kernels`):
   are computed.  Mirrored as ``config.kernel_backend`` for bench
   provenance (and threaded into Table 1's KronFit trials), like the
   block size.
-* ``REPRO_KERNEL_THREADS`` — threads the batched multichain kernel
-  shards chains across when a multi-start KronFit fit advances all its
-  chains in one native call (default 1; ``0`` = all usable cores).
+* ``REPRO_KERNEL_THREADS`` — threads the chain kernel shards chains
+  across when a multi-start KronFit fit advances all its chains in one
+  native call (default 1; ``0`` = all usable cores; never more than
+  the chain count).
   Purely a throughput knob — chains are data-independent, so results
   are bit-identical for any value.  Mirrored as
   ``config.kernel_threads`` and threaded into Table 1 / scenario
@@ -66,7 +67,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.stats.kernels import KERNEL_BACKEND_CHOICES
+from repro.native.registry import KERNEL_BACKEND_CHOICES
 
 __all__ = ["ExperimentConfig", "default_config", "FIGURE_DATASETS"]
 
@@ -95,7 +96,7 @@ class ExperimentConfig:
     cache_dir: str = ""  # trial-cache directory; empty = caching disabled
     block_size: int = 0  # A²-pass rows per block; 0 = auto-tuned
     kernel_backend: str = "auto"  # A²-pass engine; auto = fused if available
-    kernel_threads: int = 1  # multichain kernel threads; 0 = all cores
+    kernel_threads: int = 1  # chain kernel threads; 0 = all cores
 
     @property
     def trial_cache(self) -> str | None:

@@ -158,9 +158,9 @@ class KronFitEstimator:
         all chains in one native call per batch) or ``"fanout"`` (one
         trial per start).  Identical results either way.
     kernel_threads:
-        Threads the batched multichain kernel shards chains across
-        (default: the ``REPRO_KERNEL_THREADS`` knob, else 1; 0 means all
-        usable cores).  Purely a throughput knob — results are
+        Threads the chain kernel shards chains across (default: the
+        ``REPRO_KERNEL_THREADS`` knob, else 1; 0 means all usable cores;
+        capped at the start count).  Purely a throughput knob — results are
         bit-identical for any value.
 
     Examples

@@ -24,9 +24,9 @@ O(N²) reference used by tests.
 :class:`PermutationSampler` — the Metropolis chain over σ that KronFit
 averages its gradients over — executes pre-drawn proposal streams behind
 the ``REPRO_KERNEL_BACKEND`` knob: the numpy reference engine defined
-here, or the fused compiled-C batch kernels of
-:mod:`repro.native.chain`.  All engines are bit-identical (see the
-contracts documented there).
+here, or the fused compiled-C batch kernel of :mod:`repro.native.chain`,
+which :class:`MultiChainSampler` also runs S chains wide.  All engines
+are bit-identical (see the contracts documented there).
 """
 
 from __future__ import annotations
@@ -39,11 +39,10 @@ from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import Initiator, as_initiator
 from repro.native.chain import (
+    CHAIN_KERNEL,
     chain_kernel,
     draw_proposal_batch,
-    multichain_kernel,
-    resolve_chain_backend,
-    resolve_multichain_backend,
+    fork_safe_threads,
 )
 from repro.native.registry import resolve_kernel_threads
 
@@ -236,12 +235,13 @@ class PermutationSampler:
     The sampler runs on pre-drawn proposal streams (the draw contract of
     :func:`repro.native.chain.draw_proposal_batch`) behind interchangeable
     execution engines selected by ``backend`` / ``REPRO_KERNEL_BACKEND``:
-    the pure-numpy reference implemented here, and the fused
-    compiled-C batch kernel of :mod:`repro.native.chain`.  Every
-    engine follows the same score contract — the swap delta is an integer
-    profile-count change dotted with the cached score table in ascending
-    cell order — so σ trajectories, histograms, and acceptance counts are
-    **bit-identical** across engines and kernel batch sizes.  The profile
+    the pure-numpy reference implemented here, and the fused compiled-C
+    batch kernel of :mod:`repro.native.chain`, called one chain wide on
+    one thread.  Every engine follows the same score contract — the swap
+    delta is an integer profile-count change dotted with the cached score
+    table in ascending cell order — so σ trajectories, histograms, and
+    acceptance counts are **bit-identical** across engines and kernel
+    batch sizes.  The profile
     histogram is maintained incrementally on accepted swaps (touched
     edges only); treat :attr:`sigma` as read-only between calls, and use
     :meth:`set_sigma` to reset the correspondence.
@@ -266,7 +266,7 @@ class PermutationSampler:
         self._indices = adjacency.indices
         # Resolve the engine eagerly so a misconfigured pipeline (cext
         # requested but no C compiler) fails at construction, not mid-fit.
-        self.backend = resolve_chain_backend(backend)
+        self.backend = CHAIN_KERNEL.resolve(backend)
         self._kernel = None
         if self.backend != "numpy":
             self._kernel = chain_kernel(self.backend)
@@ -282,6 +282,7 @@ class PermutationSampler:
         max_deg = int(np.diff(self._indptr).max()) if graph.n_edges else 0
         self._touched = np.zeros(4 * max_deg + 8, dtype=np.int64)
         self._stats = np.zeros(1, dtype=np.int64)
+        self._accepted_scratch = np.zeros(1, dtype=np.int64)
         self._tables: _LogTables | None = None
         self.set_sigma(
             np.asarray(sigma, dtype=np.int64).copy()
@@ -385,12 +386,7 @@ class PermutationSampler:
     ) -> None:
         """Run a pre-drawn proposal stream through the configured engine."""
         total = i_nodes.shape[0]
-        if batch_size is None:
-            batch_size = total
-        if batch_size < 1:
-            raise ValidationError(f"batch_size must be positive, got {batch_size}")
-        for start in range(0, total, batch_size):
-            stop = min(start + batch_size, total)
+        for start, stop in _batches(total, batch_size):
             if self._kernel is None:
                 self.accepted += self._reference_block(
                     i_nodes, j_nodes, log_u, start, stop
@@ -400,18 +396,24 @@ class PermutationSampler:
                     self._kernel(
                         self._indptr32,
                         self._indices32,
+                        1,
+                        self.graph.n_nodes,
                         self.sigma,
                         self.k,
                         self._score,
                         self._hist,
                         self._counts,
                         self._touched,
+                        self._touched.shape[0],
                         self._stats,
                         i_nodes,
                         j_nodes,
                         log_u,
+                        total,
                         start,
                         stop,
+                        self._accepted_scratch,
+                        1,
                     )
                 )
         self.proposed += total
@@ -524,14 +526,14 @@ class MultiChainSampler:
     Each chain has its own Θ, σ, score table, and profile histogram —
     multi-start KronFit runs one chain per start — but they share the
     graph's CSR structure, so the whole ensemble advances inside a single
-    call of the multichain kernel of :mod:`repro.native.chain`, sharded
-    across threads (``threads`` / ``REPRO_KERNEL_THREADS``).  Every chain is
+    call of the chain kernel of :mod:`repro.native.chain`, sharded across
+    threads (``threads`` / ``REPRO_KERNEL_THREADS``, capped at the chain
+    count: threads only shard whole chains).  Every chain is
     **bit-identical** to the solo :class:`PermutationSampler` trajectory
     it replaces, for any backend, batch size, or thread count: the draws
     are made per chain in chain order with the same
     :func:`~repro.native.chain.draw_proposal_batch` contract, and the
-    kernel's per-chain arithmetic is integer-exact against the solo
-    kernel's (see the multichain section of :mod:`repro.native.chain`).
+    kernel runs each chain exactly as it runs a solo one.
 
     Per-chain state is stacked into C-contiguous blocks; each chain is
     still exposed as a :class:`PermutationSampler` whose arrays alias the
@@ -543,7 +545,7 @@ class MultiChainSampler:
     row the fused kernel reads).
 
     The ``numpy`` reference engine loops the per-chain reference blocks;
-    ``cext`` runs the fused multichain kernel.
+    ``cext`` runs the fused chain kernel S chains wide.
     """
 
     def __init__(
@@ -571,8 +573,8 @@ class MultiChainSampler:
         self.n_chains = len(thetas)
         # Resolve engine and threads eagerly: misconfiguration fails at
         # construction, not mid-fit.
-        self.backend = resolve_multichain_backend(backend)
-        self.threads = resolve_kernel_threads(threads)
+        self.backend = CHAIN_KERNEL.resolve(backend)
+        self.threads = min(resolve_kernel_threads(threads), self.n_chains)
         # Per-chain adapters carry the solo sampler's validation and
         # observables; their engine is the reference (the fused call, when
         # any, happens at the ensemble level).
@@ -602,7 +604,7 @@ class MultiChainSampler:
             chain._stats = self._stats[s : s + 1]
         self._kernel = None
         if self.backend != "numpy":
-            self._kernel = multichain_kernel(self.backend)
+            self._kernel = chain_kernel(self.backend)
             adjacency = graph.adjacency
             self._indptr32 = np.ascontiguousarray(
                 adjacency.indptr, dtype=np.int32
@@ -699,14 +701,8 @@ class MultiChainSampler:
             for s, chain in enumerate(self._chains):
                 chain._execute(i_all[s], j_all[s], u_all[s], batch_size)
             return
-        if batch_size is None:
-            batch_size = total
-        if batch_size < 1:
-            raise ValidationError(
-                f"batch_size must be positive, got {batch_size}"
-            )
-        for start in range(0, total, batch_size):
-            stop = min(start + batch_size, total)
+        threads = fork_safe_threads(self.threads)
+        for start, stop in _batches(total, batch_size):
             self._kernel(
                 self._indptr32,
                 self._indices32,
@@ -727,12 +723,24 @@ class MultiChainSampler:
                 start,
                 stop,
                 self._accepted_scratch,
-                self.threads,
+                threads,
             )
             for s, chain in enumerate(self._chains):
                 chain.accepted += int(self._accepted_scratch[s])
         for chain in self._chains:
             chain.proposed += total
+
+
+def _batches(total: int, batch_size: int | None):
+    """``[start, stop)`` kernel batches covering ``total`` proposals."""
+    if batch_size is None:
+        batch_size = total
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be positive, got {batch_size}")
+    return [
+        (start, min(start + batch_size, total))
+        for start in range(0, total, batch_size)
+    ]
 
 
 def degree_matched_initial_sigma(graph: Graph, k: int) -> np.ndarray:

@@ -38,11 +38,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
 from repro.kronecker.initiator import as_initiator
-from repro.native.sampling import (
-    choose_table,
-    resolve_sampler_backend,
-    sampler_kernel,
-)
+from repro.native.sampling import SAMPLER_KERNEL, choose_table
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_integer
 
@@ -84,7 +80,7 @@ def sample_skg(
     theta = as_initiator(initiator)
     k = check_integer(k, "k", minimum=1)
     rng = as_generator(seed)
-    engine = resolve_sampler_backend(backend)
+    engine = SAMPLER_KERNEL.resolve(backend)
     n = 2**k
     # Draw contract, part 1: per-class binomial counts in ascending
     # (z, x) order, skipping empty and zero-probability classes before
@@ -128,7 +124,7 @@ def sample_skg(
             k, z_arr, x_arr, counts, offsets, class_sizes, choose, uniforms
         )
     else:
-        kernel = sampler_kernel(engine)
+        kernel = SAMPLER_KERNEL.kernel(engine)
         capacity = 16
         while capacity < 2 * int(counts.max()):
             capacity *= 2

@@ -50,75 +50,63 @@ into the persistent profile histogram, so the histogram is maintained
 incrementally on touched edges only — no O(E) ``edge_profiles`` recompute
 per permutation sample.
 
-The kernel is a C loop nest compiled via :mod:`repro.native.registry`;
-:func:`chain_block` is the same loop nest in plain Python, kept as the
-trusted reference the multichain probe checks against.  The numpy
-reference engine lives with its caller,
-:class:`repro.kronecker.likelihood.PermutationSampler`.  The equivalence
-matrix (``tests/kronecker/test_chain_equivalence.py``) pins every
-backend × batch size × graph family × θ cell to identical σ trajectories,
-histograms, and acceptance counts.
-
-**The multichain family** (``repro_multichain_block``) advances S
-*independent* chains — each with its own σ, score table, histogram, and
-pre-drawn draw-contract streams — in one native call, parallelized
+**One kernel, one chain or S chains.**  The compiled kernel
+(``repro_multichain_block``, registered as :data:`CHAIN_KERNEL`) advances
+S *independent* chains — each with its own σ, score table, histogram,
+and pre-drawn draw-contract streams — in one native call, parallelized
 *across chains* with OpenMP (optional, and inert when unavailable).
-Within a chain the proposal loop is the same contract as
-:func:`chain_block`, with one integer-exact rewrite: the profile cell is
-derived via the popcount identity
+:class:`~repro.kronecker.likelihood.PermutationSampler` calls it one
+chain wide on one thread; :class:`~repro.kronecker.likelihood.MultiChainSampler`
+calls it S chains wide.  Within a chain the proposal loop is the
+:func:`chain_block` contract with one integer-exact rewrite: the profile
+cell is derived via the popcount identity
 ``popcount(id ^ w) = popcount(id) + popcount(w) − 2·popcount(id & w)``,
 so each neighbor costs three popcounts instead of four and the row index
 ``z = (k − popcount(id)) − popcount(w) + o`` hoists the two
 ``k − popcount(id)`` terms out of the neighbor loops.  All quantities are
 integers, so every touched cell — and therefore every float accumulation
-sequence and accept/reject decision — is *identical* to the single-chain
-kernel's: chain ``c`` of a batched call is bit-identical to the solo
-trajectory it replaces, for any chain count, batch size, or thread count
-(threads only shard whole chains).  It uses the compiler's
-``__builtin_popcountll`` (same values as the SWAR popcount of the
-single-chain kernel, enforced by the equivalence matrix), and its
-registration offers ``-fopenmp`` and ``-mpopcnt`` as optional compile
-flags with graceful fallback.
+sequence and accept/reject decision — is *identical* to
+:func:`chain_block`'s: chain ``c`` of a batched call is bit-identical to
+its solo trajectory, for any chain count, batch size, or thread count
+(threads only shard whole chains).  The registration offers ``-fopenmp``
+and ``-mpopcnt`` as optional compile flags with graceful fallback.
+
+**Fork safety.**  GNU libgomp is not fork-safe: a child forked from a
+process that has run a parallel region on more than one thread hangs in
+its own first such region.  :func:`fork_safe_threads` records when a
+threaded call starts, and a process forked after one runs the kernel on
+one thread — exact, because threads never change results.  The
+probe-time self-check runs on one thread, so probing alone never makes a
+process unsafe to fork.
+
+:func:`chain_block` is the loop nest in plain Python, kept as the
+trusted reference the probe-time self-check compares against.  The numpy
+reference engine lives with its caller,
+:class:`repro.kronecker.likelihood.PermutationSampler`.  The equivalence
+matrices (``tests/kronecker/test_chain_equivalence.py`` and
+``tests/kronecker/test_multichain_equivalence.py``) pin every backend ×
+batch size × chain count × graph family × θ cell to identical σ
+trajectories, histograms, and acceptance counts.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
 from typing import Callable
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.native.registry import (
-    NativeKernel,
-    available_backends,
-    resolve_backend,
-)
+from repro.native.registry import NativeKernel
 
 __all__ = [
     "CHAIN_KERNEL",
-    "CHAIN_BACKENDS",
     "chain_block",
-    "chain_backend_available",
-    "chain_backend_error",
     "chain_kernel",
-    "resolve_chain_backend",
-    "available_chain_backends",
     "draw_proposal_batch",
-    "MULTICHAIN_KERNEL",
-    "MULTICHAIN_BACKENDS",
-    "multichain_backend_available",
-    "multichain_backend_error",
-    "multichain_kernel",
-    "resolve_multichain_backend",
-    "available_multichain_backends",
+    "fork_safe_threads",
 ]
-
-# Accepted values of the chain-backend knob.  The chain's pure-Python
-# reference engine is called "numpy"; "scipy" is accepted as an alias so
-# one REPRO_KERNEL_BACKEND value can force the reference engine of both
-# the counting pass and the chain.
-CHAIN_BACKENDS = ("auto", "numpy", "scipy", "cext")
 
 
 def draw_proposal_batch(
@@ -169,6 +157,8 @@ def chain_block(
 ):
     """Execute proposals ``[start, stop)`` of a pre-drawn stream in place.
 
+    The plain-Python oracle of one chain of the compiled kernel.
+
     Parameters are the int32 CSR structure of the symmetric adjacency,
     the int64 correspondence ``sigma`` (mutated on accepted swaps), the
     Kronecker order ``k``, the flat ``(k+1)²`` float64 score table
@@ -182,8 +172,8 @@ def chain_block(
     """
 
     def popcount(v):
-        # Branch-free SWAR popcount; identical in the C kernel, and exact
-        # for any non-negative int64 (Kronecker ids are < 2^k).
+        # Branch-free SWAR popcount, exact for any non-negative int64
+        # (Kronecker ids are < 2^k).
         v = v - ((v >> 1) & 0x5555555555555555)
         v = (v & 0x3333333333333333) + ((v >> 2) & 0x3333333333333333)
         v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0F
@@ -279,268 +269,21 @@ def chain_block(
     return accepted
 
 
-# The cext backend: chain_block transliterated to C.  Kept in lockstep
-# with the Python loop nest above — the chain equivalence suite
-# cross-checks it against the numpy reference on every run.
-_C_SOURCE = """\
-#include <stdint.h>
-
-static int64_t repro_popcount(int64_t v)
-{
-    v = v - ((v >> 1) & 0x5555555555555555LL);
-    v = (v & 0x3333333333333333LL) + ((v >> 2) & 0x3333333333333333LL);
-    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0FLL;
-    v = v + (v >> 8);
-    v = v + (v >> 16);
-    v = v + (v >> 32);
-    return v & 0x7F;
-}
-
-int64_t repro_chain_block(
-    const int32_t *indptr,
-    const int32_t *indices,
-    int64_t *sigma,
-    int64_t k,
-    const double *score,
-    int64_t *hist,
-    int64_t *counts,
-    int64_t *touched,
-    int64_t *stats,
-    const int64_t *i_nodes,
-    const int64_t *j_nodes,
-    const double *log_u,
-    int64_t start,
-    int64_t stop)
-{
-    int64_t accepted = 0;
-    int64_t touches = 0;
-    for (int64_t t = start; t < stop; t++) {
-        int64_t i = i_nodes[t];
-        int64_t j = j_nodes[t];
-        int64_t id_i = sigma[i];
-        int64_t id_j = sigma[j];
-        int64_t x, o, wid, cell;
-        int64_t n_touched = 0;
-        for (int32_t idx = indptr[i]; idx < indptr[i + 1]; idx++) {
-            int32_t w = indices[idx];
-            if (w == j) {
-                continue;
-            }
-            wid = sigma[w];
-            x = repro_popcount(id_i ^ wid);
-            o = repro_popcount(id_i & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] -= 1;
-            touched[n_touched++] = cell;
-            x = repro_popcount(id_j ^ wid);
-            o = repro_popcount(id_j & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] += 1;
-            touched[n_touched++] = cell;
-        }
-        for (int32_t idx = indptr[j]; idx < indptr[j + 1]; idx++) {
-            int32_t w = indices[idx];
-            if (w == i) {
-                continue;
-            }
-            wid = sigma[w];
-            x = repro_popcount(id_j ^ wid);
-            o = repro_popcount(id_j & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] -= 1;
-            touched[n_touched++] = cell;
-            x = repro_popcount(id_i ^ wid);
-            o = repro_popcount(id_i & wid);
-            cell = (k - x - o) * (k + 1) + o;
-            counts[cell] += 1;
-            touched[n_touched++] = cell;
-        }
-        for (int64_t a = 1; a < n_touched; a++) {
-            int64_t key = touched[a];
-            int64_t b = a - 1;
-            while (b >= 0 && touched[b] > key) {
-                touched[b + 1] = touched[b];
-                b -= 1;
-            }
-            touched[b + 1] = key;
-        }
-        double delta = 0.0;
-        int64_t previous = -1;
-        for (int64_t a = 0; a < n_touched; a++) {
-            cell = touched[a];
-            if (cell == previous) {
-                continue;
-            }
-            previous = cell;
-            if (counts[cell] != 0) {
-                delta += (double)counts[cell] * score[cell];
-                touches += 1;
-            }
-        }
-        if (delta >= 0.0 || log_u[t] < delta) {
-            sigma[i] = id_j;
-            sigma[j] = id_i;
-            accepted += 1;
-            for (int64_t a = 0; a < n_touched; a++) {
-                cell = touched[a];
-                if (counts[cell] != 0) {
-                    hist[cell] += counts[cell];
-                    counts[cell] = 0;
-                }
-            }
-        } else {
-            for (int64_t a = 0; a < n_touched; a++) {
-                counts[touched[a]] = 0;
-            }
-        }
-    }
-    stats[0] += touches;
-    return accepted;
-}
-"""
-
-
-def _smoke_test(kernel: Callable) -> None:
-    """Run the kernel on a hand-checked 4-proposal batch.
-
-    Path graph 0–1–2–3 at k=2, identity σ, a synthetic score table: the
-    batch accepts a below-threshold negative delta, two non-negative
-    deltas, then rejects a negative delta above its threshold.  Catches a
-    miscompiled or ABI-mismatched kernel at probe time.
-    """
-    indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
-    indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
-    sigma = np.arange(4, dtype=np.int64)
-    score = np.array(
-        [0.5, -0.25, 0.125, 1.5, 0.0, 0.0, 0.0, 0.0, 0.0], dtype=np.float64
-    )
-    hist = np.zeros(9, dtype=np.int64)
-    counts = np.zeros(9, dtype=np.int64)
-    touched = np.zeros(16, dtype=np.int64)
-    stats = np.zeros(1, dtype=np.int64)
-    i_nodes = np.array([1, 0, 0, 0], dtype=np.int64)
-    j_nodes = np.array([3, 2, 1, 1], dtype=np.int64)
-    log_u = np.array([-2.0, -0.5, -0.5, -0.5], dtype=np.float64)
-    accepted = int(
-        kernel(indptr, indices, sigma, 2, score, hist, counts, touched,
-               stats, i_nodes, j_nodes, log_u, 0, 4)
-    )
-    expected_hist = np.zeros(9, dtype=np.int64)
-    expected_hist[0] = -1
-    expected_hist[3] = 1
-    if (
-        accepted != 3
-        or sigma.tolist() != [3, 2, 0, 1]
-        or not np.array_equal(hist, expected_hist)
-        or int(stats[0]) != 8
-    ):
-        raise RuntimeError(
-            f"chain kernel self-check failed: accepted={accepted}, "
-            f"sigma={sigma.tolist()}, hist={hist.tolist()}, "
-            f"touches={int(stats[0])}"
-        )
-    if counts.any():
-        raise RuntimeError("chain kernel self-check failed: counts not zeroed")
-
-
-_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-
-CHAIN_KERNEL = NativeKernel(
-    name="chain",
-    c_source=_C_SOURCE,
-    c_symbol="repro_chain_block",
-    c_restype=ctypes.c_int64,
-    c_argtypes=[
-        _INT32_ARG,  # indptr
-        _INT32_ARG,  # indices
-        _INT64_ARG,  # sigma
-        ctypes.c_int64,  # k
-        _FLOAT64_ARG,  # score (flat (k+1)^2)
-        _INT64_ARG,  # hist (flat (k+1)^2)
-        _INT64_ARG,  # counts scratch (flat (k+1)^2)
-        _INT64_ARG,  # touched scratch (event list)
-        _INT64_ARG,  # stats (score-table touch accumulator)
-        _INT64_ARG,  # i_nodes
-        _INT64_ARG,  # j_nodes
-        _FLOAT64_ARG,  # log_u
-        ctypes.c_int64,  # start
-        ctypes.c_int64,  # stop
-    ],
-    smoke_test=_smoke_test,
-)
-
-
-def chain_backend_available(name: str) -> bool:
-    """Whether the fused chain backend ``name`` can run on this host."""
-    return CHAIN_KERNEL.available(name)
-
-
-def chain_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return CHAIN_KERNEL.error(name)
-
-
-def chain_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused chain backend.
-
-    The callable has the :func:`chain_block` signature and contract.
-    """
-    return CHAIN_KERNEL.kernel(name)
-
-
-def resolve_chain_backend(backend: str | None = None) -> str:
-    """The concrete chain engine: argument, else ``REPRO_KERNEL_BACKEND``.
-
-    Returns ``numpy`` (the pure-Python reference inside
-    :class:`~repro.kronecker.likelihood.PermutationSampler`) or ``cext``.
-    ``auto`` prefers the compiled engine; ``scipy`` (the
-    counting knob's reference name) is accepted as an alias for
-    ``numpy``, so one environment value drives both kernel families.
-    Naming an unavailable engine raises :class:`ValidationError` with the
-    reason.  Every engine produces bit-identical chains; the knob only
-    selects how fast they run.
-    """
-    return resolve_backend(
-        CHAIN_KERNEL,
-        backend,
-        accepted=CHAIN_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
-
-
-def available_chain_backends() -> tuple[str, ...]:
-    """The chain engines that can run on this host (numpy always can)."""
-    return available_backends(CHAIN_KERNEL, "numpy")
-
-
-# ---------------------------------------------------------------------------
-# The multichain family: S independent chains per native call.
-# ---------------------------------------------------------------------------
-
-# The multichain knob accepts the same values as the single-chain knob;
-# its pure-Python reference engine ("numpy") loops the per-chain
-# reference inside MultiChainSampler.
-MULTICHAIN_BACKENDS = CHAIN_BACKENDS
-
-
-# The cext multichain kernel: proposals [start, stop) of S pre-drawn
-# streams, executed in place.  Stacked per-chain state is passed as flat
+# The cext kernel: proposals [start, stop) of S pre-drawn streams,
+# executed in place.  Stacked per-chain state is passed as flat
 # C-contiguous arrays: chain c owns sigma_all[c*n_nodes:], the
 # (k+1)^2-long slices of score_all / hist_all / counts_all at c*(k+1)^2,
 # the touched_len-long event scratch at c*touched_len, and the
 # draw-contract streams i_all/j_all/u_all at c*stream_len.
 # accepted_all[c] is *set* to the accepted swaps of this call (the caller
 # accumulates); stats_all[c] accumulates score-table touches exactly like
-# the solo kernel's stats[0].  Returns the total accepted across chains.
+# chain_block's stats[0].  Returns the total accepted across chains.
 #
 # Within a chain this is the chain_block contract with the
 # popcount-identity cell derivation (see the module docstring).  The only
 # other deviation is the OpenMP pragma: inert without -fopenmp, and
 # chains are data-independent, so n_threads never changes results.
-_MULTICHAIN_C_SOURCE = """\
+_C_SOURCE = """\
 #include <stdint.h>
 
 int64_t repro_multichain_block(
@@ -672,16 +415,19 @@ int64_t repro_multichain_block(
 """
 
 
-def _multichain_smoke_test(kernel: Callable) -> None:
-    """Run the kernel on three chains and compare against the solo kernel.
+def _smoke_test(kernel: Callable) -> None:
+    """Run the kernel on three chains and compare against :func:`chain_block`.
 
-    Three chains on the smoke path graph (0–1–2–3 at k=2) with different
-    σ, score tables, and acceptance thresholds — chain 0 is the exact
-    single-chain smoke instance.  Expected outputs come from running the
-    trusted plain-Python :func:`chain_block` per chain, so the check is
-    the family's core contract itself: each batched chain must match its
-    solo trajectory exactly.  Runs with ``n_threads=2`` to exercise the
-    threaded path at probe time.
+    Three chains on the path graph 0–1–2–3 at k=2 with different σ, score
+    tables, and acceptance thresholds.  Expected outputs come from running
+    the trusted plain-Python :func:`chain_block` per chain, so the check
+    is the kernel's core contract itself: each batched chain must match
+    its solo trajectory exactly.  Chain 0 is also checked against
+    hand-derived values: from the identity σ its batch accepts a
+    below-threshold negative delta and two non-negative deltas, then
+    rejects a negative delta above its threshold.  Catches a miscompiled
+    or ABI-mismatched kernel at probe time.  Runs on one thread, so a
+    probe never makes the process unsafe to fork.
     """
     indptr = np.array([0, 1, 3, 5, 6], dtype=np.int32)
     indices = np.array([1, 0, 2, 1, 3, 2], dtype=np.int32)
@@ -731,7 +477,7 @@ def _multichain_smoke_test(kernel: Callable) -> None:
             indptr, indices, 3, 4, sigma.ravel(), 2, score.ravel(),
             hist.ravel(), counts.ravel(), touched.ravel(), 16, stats,
             i_nodes.ravel(), j_nodes.ravel(), log_u.ravel(), 4, 0, 4,
-            accepted, 2,
+            accepted, 1,
         )
     )
     if (
@@ -740,21 +486,28 @@ def _multichain_smoke_test(kernel: Callable) -> None:
         or not np.array_equal(sigma, expected_sigma)
         or not np.array_equal(hist, expected_hist)
         or not np.array_equal(stats, expected_stats)
+        or int(accepted[0]) != 3
+        or sigma[0].tolist() != [3, 2, 0, 1]
+        or hist[0].tolist() != [-1, 0, 0, 1, 0, 0, 0, 0, 0]
+        or int(stats[0]) != 8
     ):
         raise RuntimeError(
-            f"multichain kernel self-check failed: total={total}, "
+            f"chain kernel self-check failed: total={total}, "
             f"accepted={accepted.tolist()}, sigma={sigma.tolist()}, "
             f"hist={hist.tolist()}, stats={stats.tolist()}"
         )
     if counts.any():
-        raise RuntimeError(
-            "multichain kernel self-check failed: counts not zeroed"
-        )
+        raise RuntimeError("chain kernel self-check failed: counts not zeroed")
 
 
-MULTICHAIN_KERNEL = NativeKernel(
-    name="multichain",
-    c_source=_MULTICHAIN_C_SOURCE,
+_INT32_ARG = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+_INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+
+CHAIN_KERNEL = NativeKernel(
+    name="chain",
+    reference="numpy",
+    c_source=_C_SOURCE,
     c_symbol="repro_multichain_block",
     c_restype=ctypes.c_int64,
     c_argtypes=[
@@ -779,49 +532,44 @@ MULTICHAIN_KERNEL = NativeKernel(
         _INT64_ARG,  # accepted_all (per-chain, set per call)
         ctypes.c_int64,  # n_threads
     ],
-    smoke_test=_multichain_smoke_test,
+    smoke_test=_smoke_test,
     c_optional_flags=("-fopenmp", "-mpopcnt"),
 )
 
 
-def multichain_backend_available(name: str) -> bool:
-    """Whether the fused multichain backend ``name`` can run here."""
-    return MULTICHAIN_KERNEL.available(name)
-
-
-def multichain_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return MULTICHAIN_KERNEL.error(name)
-
-
-def multichain_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused multichain backend.
+def chain_kernel(name: str) -> Callable:
+    """The batch kernel of an *available* compiled chain backend.
 
     The callable has the ``repro_multichain_block`` signature and
     contract documented beside the C source.
     """
-    return MULTICHAIN_KERNEL.kernel(name)
+    return CHAIN_KERNEL.kernel(name)
 
 
-def resolve_multichain_backend(backend: str | None = None) -> str:
-    """The concrete multichain engine: argument, else environment.
+# Whether this process has started a chain-kernel call on more than one
+# thread, and whether it was forked from a process that had (then libgomp
+# would hang at its first threaded region).
+_threaded = False
+_forked_after_threads = False
 
-    Same contract as :func:`resolve_chain_backend` — ``auto`` prefers the
-    compiled engine and silently falls back to the ``numpy`` reference (a
-    plain loop over per-chain reference engines inside
-    :class:`~repro.kronecker.likelihood.MultiChainSampler`); naming an
-    unavailable engine raises :class:`ValidationError`.  Every engine and
-    thread count produces bit-identical chains.
+
+def _after_fork_in_child() -> None:
+    global _forked_after_threads
+    _forked_after_threads = _threaded
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def fork_safe_threads(threads: int) -> int:
+    """The thread count a chain-kernel call may use in this process.
+
+    ``threads`` itself, except in a process forked after a threaded call
+    (its parent's or an earlier ancestor's), where it is 1.
     """
-    return resolve_backend(
-        MULTICHAIN_KERNEL,
-        backend,
-        accepted=MULTICHAIN_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
-
-
-def available_multichain_backends() -> tuple[str, ...]:
-    """The multichain engines that can run here (numpy always can)."""
-    return available_backends(MULTICHAIN_KERNEL, "numpy")
+    global _threaded
+    if _forked_after_threads:
+        return 1
+    if threads > 1:
+        _threaded = True
+    return threads

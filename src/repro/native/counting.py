@@ -24,10 +24,9 @@ the scipy backend and to the pre-blocking reference oracles — the
 cross-backend equivalence suite (``tests/stats/test_backend_equivalence.py``)
 enforces this for every block size and graph family.
 
-Backend selection goes through
-:func:`repro.stats.kernels.resolve_kernel_backend`.  (The PR 3-era
-``repro.stats._fused`` shim that re-exported this surface was removed in
-PR 7 — import from here.)
+Backend selection goes through :meth:`COUNTING_KERNEL.resolve()
+<repro.native.registry.NativeKernel.resolve>`; import the kernel from
+here (the retired ``repro.stats._fused`` shim no longer exists).
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ import numpy as np
 
 from repro.native.registry import NATIVE_BACKENDS, NativeKernel
 
-__all__ = [
-    "COUNTING_KERNEL",
-    "FUSED_BACKENDS",
-    "backend_available",
-    "backend_error",
-    "backend_kernel",
-]
+__all__ = ["COUNTING_KERNEL", "FUSED_BACKENDS"]
 
 # Historical name for the native engines (PR 3's `_fused.FUSED_BACKENDS`).
 FUSED_BACKENDS = NATIVE_BACKENDS
@@ -133,6 +126,7 @@ _INT64_ARG = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 
 COUNTING_KERNEL = NativeKernel(
     name="counting",
+    reference="scipy",
     c_source=_C_SOURCE,
     c_symbol="repro_fused_block",
     c_restype=ctypes.c_int64,
@@ -148,21 +142,3 @@ COUNTING_KERNEL = NativeKernel(
     smoke_test=_smoke_test,
 )
 
-
-def backend_available(name: str) -> bool:
-    """Whether the fused counting backend ``name`` can run on this host."""
-    return COUNTING_KERNEL.available(name)
-
-
-def backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return COUNTING_KERNEL.error(name)
-
-
-def backend_kernel(name: str) -> Callable:
-    """The block kernel of an *available* fused counting backend.
-
-    The callable has the ``repro_fused_block`` signature and contract
-    documented beside the C source.
-    """
-    return COUNTING_KERNEL.kernel(name)

@@ -16,11 +16,10 @@ compiled engine and silently falls back to the pure-Python reference;
 * :func:`compile_shared_library` — compile a C source into a per-user
   cached ``.so`` (keyed by a hash of source + flags; concurrent probes
   build to private scratch files and install with atomic renames).
-* :func:`resolve_backend` / :func:`auto_backend` /
-  :func:`available_backends` — the shared resolution contract,
-  parameterized by the kernel and the name of its pure-Python reference
-  engine (``scipy`` for the counting pass, ``numpy`` for the chain and
-  the sampler).
+* :meth:`NativeKernel.resolve` / :meth:`NativeKernel.engines` — the
+  shared resolution contract, parameterized by the name of each kernel's
+  pure-Python reference engine (``scipy`` for the counting pass,
+  ``numpy`` for the chain and the sampler).
 
 Concrete kernels live next door: :mod:`repro.native.counting`,
 :mod:`repro.native.chain` and :mod:`repro.native.sampling`.
@@ -45,24 +44,28 @@ __all__ = [
     "KERNEL_BACKEND_ENV",
     "KERNEL_THREADS_ENV",
     "OPENMP_ENV",
+    "KERNEL_BACKEND_CHOICES",
     "NativeKernel",
     "compile_shared_library",
-    "resolve_backend",
-    "auto_backend",
-    "available_backends",
     "resolve_kernel_threads",
 ]
 
 # Compiled backend names, in the preference order `auto` resolution uses.
 NATIVE_BACKENDS = ("cext",)
 
-# The environment knob shared by every native kernel (counting and chain).
+# Every value the backend knob accepts, for every kernel family.  The
+# reference engines are called "scipy" (counting) and "numpy" (chain,
+# sampler); each family takes either name for its own reference, so one
+# REPRO_KERNEL_BACKEND value is valid everywhere.
+KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy") + NATIVE_BACKENDS
+
+# The environment knob shared by every native kernel family.
 KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-# Worker threads for batched kernels (the multichain family).  Resolution
-# order: explicit argument, then this environment variable, then 1.  A
-# value of 0 means "all usable cores".  Threads never change results —
-# chains are data-independent, so the thread count only shards them.
+# Worker threads for the chain kernel.  Resolution order: explicit
+# argument, then this environment variable, then 1.  A value of 0 means
+# "all usable cores".  Threads never change results — chains are
+# data-independent, so the thread count only shards them.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
 # Set to "off" (or 0/no/false) to compile cext kernels without -fopenmp
@@ -163,6 +166,9 @@ class NativeKernel:
     ----------
     name:
         Kernel identifier ("counting", "chain"); names the cached ``.so``.
+    reference:
+        The name of the kernel's pure-Python reference engine (``scipy``
+        or ``numpy``), which ``auto`` falls back to.
     c_source / c_symbol:
         The loop nest as a C translation unit and the exported function
         name.  (The pure-Python reference engines live with their
@@ -184,6 +190,7 @@ class NativeKernel:
     def __init__(
         self,
         name: str,
+        reference: str,
         c_source: str,
         c_symbol: str,
         c_restype,
@@ -192,6 +199,7 @@ class NativeKernel:
         c_optional_flags: Sequence[str] = (),
     ) -> None:
         self.name = name
+        self.reference = reference
         self.c_source = c_source
         self.c_symbol = c_symbol
         self.c_restype = c_restype
@@ -219,7 +227,7 @@ class NativeKernel:
         """The compiled kernel of an *available* backend.
 
         Raises ``RuntimeError`` if the backend is unavailable — callers
-        are expected to have gone through :func:`resolve_backend` first,
+        are expected to have gone through :meth:`resolve` first,
         which turns unavailability into a user-facing
         :class:`ValidationError`.
         """
@@ -230,7 +238,58 @@ class NativeKernel:
             )
         return kernel
 
+    def engines(self) -> tuple[str, ...]:
+        """The concrete engines that can run this kernel on this host.
+
+        The reference engine leads (it always runs), followed by the
+        available native engines in preference order.
+        """
+        return (self.reference,) + tuple(
+            name for name in NATIVE_BACKENDS if self.available(name)
+        )
+
+    def resolve(self, backend: str | None = None) -> str:
+        """The concrete engine a call will run: argument, else environment.
+
+        ``auto`` (the default) resolves to the compiled-C ``cext`` engine
+        and silently falls back to the :attr:`reference` engine when it
+        cannot run on this host.  Explicitly requesting an unavailable
+        engine raises a :class:`ValidationError` naming the reason, so a
+        pipeline that *expects* the compiled kernels fails loudly instead
+        of quietly running slower.  Either reference name (``scipy`` or
+        ``numpy``) selects this kernel's reference engine.
+        """
+        source = "argument"
+        if backend is None:
+            raw = os.environ.get(KERNEL_BACKEND_ENV)
+            if not raw:  # unset or empty = auto
+                return self._auto()
+            backend = raw
+            source = f"environment variable {KERNEL_BACKEND_ENV}"
+        if not isinstance(backend, str) or backend not in KERNEL_BACKEND_CHOICES:
+            raise ValidationError(
+                f"kernel backend (from {source}) must be one of "
+                f"{', '.join(KERNEL_BACKEND_CHOICES)}, got {backend!r}"
+            )
+        if backend == "auto":
+            return self._auto()
+        if backend not in NATIVE_BACKENDS:
+            return self.reference
+        if not self.available(backend):
+            raise ValidationError(
+                f"kernel backend {backend!r} (from {source}) is unavailable on "
+                f"this host: {self.error(backend)}"
+            )
+        return backend
+
     # -- internals --------------------------------------------------------
+
+    def _auto(self) -> str:
+        """The first available native engine, else the reference."""
+        return next(
+            (name for name in NATIVE_BACKENDS if self.available(name)),
+            self.reference,
+        )
 
     def _state(self, backend: str) -> tuple[Callable | None, str | None]:
         if backend not in NATIVE_BACKENDS:
@@ -327,65 +386,3 @@ def compile_shared_library(
                 os.unlink(scratch)
     return library
 
-
-def auto_backend(kernel: NativeKernel, reference: str) -> str:
-    """``auto`` resolution: the first available native engine, else the
-    kernel's pure-Python reference."""
-    for candidate in NATIVE_BACKENDS:
-        if kernel.available(candidate):
-            return candidate
-    return reference
-
-
-def available_backends(kernel: NativeKernel, reference: str) -> tuple[str, ...]:
-    """The concrete engines that can run ``kernel`` on this host.
-
-    The reference engine leads (it always runs), followed by the
-    available native engines in preference order.
-    """
-    return (reference,) + tuple(
-        name for name in NATIVE_BACKENDS if kernel.available(name)
-    )
-
-
-def resolve_backend(
-    kernel: NativeKernel,
-    backend: str | None = None,
-    *,
-    accepted: tuple[str, ...],
-    reference: str,
-    aliases: tuple[str, ...] = (),
-) -> str:
-    """The concrete engine a pass/chain will run: argument, else environment.
-
-    ``auto`` (the default) resolves to the compiled-C ``cext`` engine and
-    silently falls back to the kernel's pure-Python ``reference`` when it
-    cannot run on this host.  Explicitly requesting an unavailable engine
-    raises a :class:`ValidationError` naming the reason, so a pipeline that
-    *expects* the compiled kernels fails loudly instead of quietly running
-    slower.  ``aliases`` are extra names accepted for the reference engine
-    (the chain accepts the counting knob's ``scipy`` as its ``numpy``),
-    keeping one ``REPRO_KERNEL_BACKEND`` value valid for both kernels.
-    """
-    source = "argument"
-    if backend is None:
-        raw = os.environ.get(KERNEL_BACKEND_ENV)
-        if not raw:  # unset or empty = auto
-            return auto_backend(kernel, reference)
-        backend = raw
-        source = f"environment variable {KERNEL_BACKEND_ENV}"
-    if not isinstance(backend, str) or backend not in accepted:
-        raise ValidationError(
-            f"kernel backend (from {source}) must be one of "
-            f"{', '.join(accepted)}, got {backend!r}"
-        )
-    if backend == "auto":
-        return auto_backend(kernel, reference)
-    if backend == reference or backend in aliases:
-        return reference
-    if not kernel.available(backend):
-        raise ValidationError(
-            f"kernel backend {backend!r} (from {source}) is unavailable on "
-            f"this host: {kernel.error(backend)}"
-        )
-    return backend

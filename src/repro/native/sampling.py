@@ -59,28 +59,9 @@ from typing import Callable
 
 import numpy as np
 
-from repro.native.registry import (
-    NativeKernel,
-    available_backends,
-    resolve_backend,
-)
+from repro.native.registry import NativeKernel
 
-__all__ = [
-    "SAMPLER_KERNEL",
-    "SAMPLER_BACKENDS",
-    "sampler_backend_available",
-    "sampler_backend_error",
-    "sampler_kernel",
-    "resolve_sampler_backend",
-    "available_sampler_backends",
-    "choose_table",
-]
-
-# Accepted values of the sampler-backend knob.  The sampler's pure-Python
-# reference engine is called "numpy"; "scipy" is accepted as an alias so
-# one REPRO_KERNEL_BACKEND value can force the reference engine of the
-# counting pass, the chain, and the sampler at once.
-SAMPLER_BACKENDS = ("auto", "numpy", "scipy", "cext")
+__all__ = ["SAMPLER_KERNEL", "choose_table"]
 
 
 def choose_table(k: int) -> np.ndarray:
@@ -279,6 +260,7 @@ _FLOAT64_ARG = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 
 SAMPLER_KERNEL = NativeKernel(
     name="sampler",
+    reference="numpy",
     c_source=_C_SOURCE,
     c_symbol="repro_sampler_block",
     c_restype=ctypes.c_int64,
@@ -300,44 +282,3 @@ SAMPLER_KERNEL = NativeKernel(
     smoke_test=_smoke_test,
 )
 
-
-def sampler_backend_available(name: str) -> bool:
-    """Whether the fused sampler backend ``name`` can run on this host."""
-    return SAMPLER_KERNEL.available(name)
-
-
-def sampler_backend_error(name: str) -> str | None:
-    """Why ``name`` is unavailable (None when it is available)."""
-    return SAMPLER_KERNEL.error(name)
-
-
-def sampler_kernel(name: str) -> Callable:
-    """The batch kernel of an *available* fused sampler backend.
-
-    The callable has the ``repro_sampler_block`` signature and contract
-    documented beside the C source.
-    """
-    return SAMPLER_KERNEL.kernel(name)
-
-
-def resolve_sampler_backend(backend: str | None = None) -> str:
-    """The concrete engine :func:`sample_skg` will select pairs with.
-
-    Same contract as the counting and chain kernels: ``auto`` prefers the
-    compiled engine and silently falls back to the numpy reference; naming
-    an unavailable engine raises.  ``scipy`` is accepted as an alias for
-    the reference so one ``REPRO_KERNEL_BACKEND`` value can force every
-    kernel family onto its reference engine.
-    """
-    return resolve_backend(
-        SAMPLER_KERNEL,
-        backend,
-        accepted=SAMPLER_BACKENDS,
-        reference="numpy",
-        aliases=("scipy",),
-    )
-
-
-def available_sampler_backends() -> tuple[str, ...]:
-    """The concrete sampler engines that can run on this host."""
-    return available_backends(SAMPLER_KERNEL, "numpy")

@@ -67,7 +67,7 @@ def estimator_axis(method: str, config, *, n_starts: int | None = None) -> Estim
     """The configured estimator axis value for ``method``.
 
     Threads the config knobs each method consumes (KronFit's iteration
-    budget, chain backend, multi-start count, and multichain kernel
+    budget, chain backend, multi-start count, and chain kernel
     threads) into the spec so they are part of every trial's cache key.
     Multi-start fits advance all their chains in one batched native call
     per proposal batch (``KronFitEstimator``'s default ``multi_start``

@@ -27,8 +27,6 @@ from repro.stats.kernels import (
     triangle_pass,
     kernel_pass_count,
     float64_conversion_count,
-    resolve_kernel_backend,
-    available_kernel_backends,
 )
 from repro.stats.counts import (
     count_edges,
@@ -73,8 +71,6 @@ __all__ = [
     "triangle_pass",
     "kernel_pass_count",
     "float64_conversion_count",
-    "resolve_kernel_backend",
-    "available_kernel_backends",
     "count_edges",
     "count_wedges",
     "count_tripins",

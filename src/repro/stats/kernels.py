@@ -54,8 +54,8 @@ import scipy.sparse as sp
 
 from repro.errors import ValidationError
 from repro.graphs.graph import Graph
-from repro.native import counting as _native_counting
-from repro.native import registry as _native_registry
+from repro.native.counting import COUNTING_KERNEL
+from repro.native.registry import KERNEL_BACKEND_ENV, NATIVE_BACKENDS
 from repro.utils.validation import check_integer
 
 __all__ = [
@@ -66,29 +66,15 @@ __all__ = [
     "kernel_pass_count",
     "float64_conversion_count",
     "resolve_block_size",
-    "resolve_kernel_backend",
-    "available_kernel_backends",
     "row_blocks",
     "reference_count_triangles",
     "reference_triangles_per_node",
     "reference_max_common_neighbors",
     "BLOCK_SIZE_ENV",
     "KERNEL_BACKEND_ENV",
-    "KERNEL_BACKENDS",
-    "KERNEL_BACKEND_CHOICES",
 ]
 
 BLOCK_SIZE_ENV = "REPRO_BLOCK_SIZE"
-KERNEL_BACKEND_ENV = _native_registry.KERNEL_BACKEND_ENV
-
-# Canonical values of the backend knob.  "auto" resolves to the first
-# available entry of the native counting backends, else "scipy".
-KERNEL_BACKENDS = ("auto", "scipy") + _native_counting.FUSED_BACKENDS
-
-# Everything the knob accepts: the chain kernels call their pure-Python
-# reference "numpy", so each kernel family aliases the other's reference
-# name — one REPRO_KERNEL_BACKEND value is valid everywhere.
-KERNEL_BACKEND_CHOICES = ("auto", "scipy", "numpy") + _native_counting.FUSED_BACKENDS
 
 # Auto-tuning budget: target number of stored entries in one row-block of
 # A @ A.  At int64 data plus index arrays this is roughly 64 MiB per block
@@ -167,35 +153,6 @@ def resolve_block_size(block_size: int | None = None) -> int:
     if block_size < 0:
         raise ValidationError(f"block size must be non-negative, got {block_size}")
     return int(block_size)
-
-
-def resolve_kernel_backend(backend: str | None = None) -> str:
-    """The concrete backend the pass will run: argument, else environment.
-
-    ``auto`` (the default) resolves to the fused compiled-C ``cext``
-    backend and silently falls back to ``scipy`` when it cannot run on
-    this host.  Explicitly requesting an
-    unavailable backend raises a :class:`ValidationError` naming the
-    reason, so a pipeline that *expects* the fused kernels fails loudly
-    instead of quietly running slower.  Every backend returns bit-identical
-    statistics; the knob only selects the execution engine.  (The shared
-    resolution contract lives in :mod:`repro.native.registry`; the same
-    ``REPRO_KERNEL_BACKEND`` knob also drives the KronFit chain kernels.)
-    """
-    return _native_registry.resolve_backend(
-        _native_counting.COUNTING_KERNEL,
-        backend,
-        accepted=KERNEL_BACKEND_CHOICES,
-        reference="scipy",
-        aliases=("numpy",),
-    )
-
-
-def available_kernel_backends() -> tuple[str, ...]:
-    """The concrete backends that can run on this host (scipy always can)."""
-    return _native_registry.available_backends(
-        _native_counting.COUNTING_KERNEL, "scipy"
-    )
 
 
 def row_blocks(graph: Graph, block_size: int = 0) -> list[tuple[int, int]]:
@@ -330,7 +287,7 @@ def triangle_pass(
     # misconfigured pipeline (bad backend name, no C compiler, broken
     # n_jobs) fails loudly even when its first graph happens to be empty.
     requested = backend if backend is not None else os.environ.get(KERNEL_BACKEND_ENV)
-    backend = resolve_kernel_backend(backend)
+    backend = COUNTING_KERNEL.resolve(backend)
     n_jobs = _resolve_pass_jobs(n_jobs)
     wedges, tripins = _degree_moments(graph.degrees)
     per_node = np.zeros(n, dtype=np.int64)
@@ -345,7 +302,7 @@ def triangle_pass(
         # Beyond int32 indexing only scipy's int64 path fits.  `auto`
         # degrades silently; an explicitly named fused backend keeps the
         # fail-loudly contract instead of quietly running scipy.
-        if requested in _native_counting.FUSED_BACKENDS:
+        if requested in NATIVE_BACKENDS:
             raise ValidationError(
                 f"kernel backend {requested!r} cannot address this graph: its "
                 f"CSR structure exceeds int32 indexing; use the scipy backend"
@@ -395,7 +352,7 @@ def _run_blocks(
     """
     if backend == "scipy":
         return _run_blocks_scipy(graph, blocks, per_node, offset)
-    kernel = _native_counting.backend_kernel(backend)
+    kernel = COUNTING_KERNEL.kernel(backend)
     indptr, indices = _fused_csr_arrays(graph)
     n = graph.n_nodes
     workspace = np.zeros(n, dtype=np.int64)

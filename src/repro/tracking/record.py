@@ -127,7 +127,8 @@ def environment_fingerprint() -> dict[str, Any]:
 
     import scipy
 
-    from repro.native.chain import resolve_chain_backend
+    from repro.native.chain import CHAIN_KERNEL
+    from repro.native.counting import COUNTING_KERNEL
     from repro.runtime import (
         FAULT_INJECT_ENV,
         resolve_n_jobs,
@@ -135,7 +136,6 @@ def environment_fingerprint() -> dict[str, Any]:
         resolve_trial_retries,
         resolve_trial_timeout,
     )
-    from repro.stats.kernels import resolve_kernel_backend
 
     return {
         "python": platform.python_version(),
@@ -143,8 +143,8 @@ def environment_fingerprint() -> dict[str, Any]:
         "scipy": scipy.__version__,
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
-        "counting_backend": resolve_kernel_backend(),
-        "chain_backend": resolve_chain_backend(),
+        "counting_backend": COUNTING_KERNEL.resolve(),
+        "chain_backend": CHAIN_KERNEL.resolve(),
         "pool_mode": resolve_pool_mode(),
         "n_jobs": resolve_n_jobs(),
         "trial_retries": resolve_trial_retries(),

@@ -14,8 +14,12 @@ contracts around it:
   proposals and stream consumption is engine-independent;
 * the histogram contract — the incrementally maintained histogram always
   bit-matches an ``edge_profiles`` recompute;
-* backend selection — naming an unavailable engine fails loudly, ``auto``
-  silently falls back to numpy, ``scipy`` aliases the reference engine;
+* backend selection — for both chain samplers, naming an unavailable
+  engine fails loudly, ``auto`` silently falls back to numpy, ``scipy``
+  aliases the reference engine;
+* the probe-time self-check — it passes on the compiled kernel, runs on
+  one thread, and rejects a kernel that flips an accept or leaves its
+  scratch dirty;
 * KronFit end-to-end — whole fits are bit-identical across engines.
 
 Backends unavailable on the host (e.g. no C compiler) appear as explicit
@@ -36,6 +40,7 @@ from repro.graphs.operations import pad_to_power_of_two
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import (
+    MultiChainSampler,
     PermutationSampler,
     edge_profiles,
     profile_histogram,
@@ -49,12 +54,12 @@ def _backend_params() -> list:
     """One param per chain engine; unavailable ones become visible skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.chain_backend_available(name):
+        if native_chain.CHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
             reason = (
                 f"{name} backend unavailable: "
-                f"{native_chain.chain_backend_error(name)}"
+                f"{native_chain.CHAIN_KERNEL.error(name)}"
             )
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
@@ -203,59 +208,123 @@ class TestDrawContract:
         assert off_diagonal.min() > 0.8 * off_diagonal.mean()
 
 
+# Both chain samplers resolve their engine through the one chain kernel.
+SAMPLERS = {
+    "solo": lambda graph, k, backend=None: PermutationSampler(
+        graph, k, THETAS["paper"], backend=backend
+    ),
+    "multichain": lambda graph, k, backend=None: MultiChainSampler(
+        graph, k, [THETAS["paper"]], backend=backend
+    ),
+}
+
+CEXT_AVAILABLE = native_chain.CHAIN_KERNEL.available("cext")
+
+
 class TestChainBackendSelection:
     def test_resolution_values(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_chain_backend() in (
-            native_chain.available_chain_backends()
-        )
-        assert native_chain.resolve_chain_backend("numpy") == "numpy"
+        kernel = native_chain.CHAIN_KERNEL
+        assert kernel.resolve() in kernel.engines()
+        assert kernel.resolve("numpy") == "numpy"
         # The counting knob's reference name aliases the chain reference,
         # so one REPRO_KERNEL_BACKEND value drives both kernel families.
-        assert native_chain.resolve_chain_backend("scipy") == "numpy"
+        assert kernel.resolve("scipy") == "numpy"
 
     def test_environment_knob(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
-        assert native_chain.resolve_chain_backend() == "numpy"
+        assert native_chain.CHAIN_KERNEL.resolve() == "numpy"
 
-    @pytest.mark.parametrize("name", ["fortran", "numba"])
-    def test_invalid_name_rejected(self, name):
-        with pytest.raises(ValidationError, match="kernel backend"):
-            native_chain.resolve_chain_backend(name)
+    @pytest.mark.parametrize(
+        "source, name",
+        [("argument", "fortran"), ("argument", "numba"), ("environment", "numba")],
+    )
+    def test_invalid_name_rejected(self, monkeypatch, source, name):
+        if source == "environment":
+            monkeypatch.setenv(KERNEL_BACKEND_ENV, name)
+            name = None
+        with pytest.raises(
+            ValidationError, match="kernel backend .* must be one of auto"
+        ):
+            native_chain.CHAIN_KERNEL.resolve(name)
 
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_unavailable_cext_fails_loudly(self, monkeypatch, sampler):
         monkeypatch.setitem(
             native_chain.CHAIN_KERNEL.states,
             "cext",
             (None, "no C compiler found"),
         )
         with pytest.raises(ValidationError, match="no C compiler found"):
-            native_chain.resolve_chain_backend("cext")
+            native_chain.CHAIN_KERNEL.resolve("cext")
         graph, k = family_graph("skg-k5")
         with pytest.raises(ValidationError, match="no C compiler found"):
-            PermutationSampler(graph, k, THETAS["paper"], backend="cext")
+            SAMPLERS[sampler](graph, k, "cext")
 
-    def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_auto_silently_falls_back_to_numpy(self, monkeypatch, sampler):
         for name in NATIVE_BACKENDS:
             monkeypatch.setitem(
                 native_chain.CHAIN_KERNEL.states, name, (None, f"{name} disabled")
             )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
-        assert native_chain.resolve_chain_backend() == "numpy"
-        assert native_chain.available_chain_backends() == ("numpy",)
+        assert native_chain.CHAIN_KERNEL.resolve() == "numpy"
+        assert native_chain.CHAIN_KERNEL.engines() == ("numpy",)
         graph, k = family_graph("near-empty-k3")
-        sampler = PermutationSampler(graph, k, THETAS["paper"])
-        assert sampler.backend == "numpy"
+        assert SAMPLERS[sampler](graph, k).backend == "numpy"
 
     @pytest.mark.skipif(
-        not any(
-            native_chain.chain_backend_available(name) for name in NATIVE_BACKENDS
-        ),
-        reason="no fused chain backend available on this host",
+        not CEXT_AVAILABLE, reason="compiled chain kernel unavailable on this host"
     )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+    def test_auto_prefers_fused_backends(self, monkeypatch, sampler):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_chain_backend() != "numpy"
+        assert native_chain.CHAIN_KERNEL.resolve() != "numpy"
+        graph, k = family_graph("near-empty-k3")
+        assert SAMPLERS[sampler](graph, k).backend != "numpy"
+
+
+@pytest.mark.skipif(
+    not CEXT_AVAILABLE, reason="compiled chain kernel unavailable on this host"
+)
+class TestProbeSelfCheck:
+    """The self-check every probe of the compiled chain kernel runs."""
+
+    def test_compiled_kernel_passes_on_one_thread(self):
+        kernel = native_chain.CHAIN_KERNEL.kernel("cext")
+        threads = []
+
+        def spy(*args):
+            threads.append(args[-1])
+            return kernel(*args)
+
+        native_chain._smoke_test(spy)
+        # A threaded probe would make every probing process unsafe to fork.
+        assert threads == [1]
+
+    def test_flipped_accept_fails(self):
+        kernel = native_chain.CHAIN_KERNEL.kernel("cext")
+
+        def flipped(*args):
+            # Chain 0's first proposal is a negative delta accepted below
+            # its threshold; a zero threshold rejects it instead.
+            log_u = args[14].copy()
+            log_u[0] = 0.0
+            return kernel(*args[:14], log_u, *args[15:])
+
+        with pytest.raises(RuntimeError, match="self-check failed: total="):
+            native_chain._smoke_test(flipped)
+
+    def test_dirty_counts_fail(self):
+        kernel = native_chain.CHAIN_KERNEL.kernel("cext")
+
+        def dirty(*args):
+            total = kernel(*args)
+            args[8][0] = 1  # counts_all scratch must come back all-zero
+            return total
+
+        with pytest.raises(RuntimeError, match="counts not zeroed"):
+            native_chain._smoke_test(dirty)
 
 
 class TestKronFitAcrossBackends:

@@ -11,10 +11,12 @@ same graph families the solo matrix pins
 (``test_chain_equivalence.py``).  On top of the matrix:
 
 * thread invariance — ``kernel_threads`` shards data-independent chains,
-  so results are bit-identical for any thread count;
-* backend selection — naming an unavailable engine fails loudly,
-  ``auto`` silently falls back to the numpy reference, ``scipy``
-  aliases it (one ``REPRO_KERNEL_BACKEND`` value drives every family);
+  so results are bit-identical for any thread count, and no more
+  threads than chains are ever asked for;
+* fork safety — a child forked after a threaded kernel call still
+  finishes, with the serial result;
+* one kernel seam — both samplers get the compiled kernel through
+  ``repro.kronecker.likelihood.chain_kernel``, the name tracers wrap;
 * KronFit end-to-end — the batched multi-start strategy selects the
   same winner, with bit-identical per-start results, as the PR 5
   pool-fanned strategy it replaces.
@@ -26,6 +28,8 @@ skips, so a green run shows which columns of the matrix really ran.
 from __future__ import annotations
 
 import functools
+import multiprocessing
+import queue
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ import pytest
 from repro.errors import ValidationError
 from repro.graphs import Graph
 from repro.graphs.generators import star_graph
+from repro.kronecker import likelihood
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.kronfit import KronFitEstimator
 from repro.kronecker.likelihood import (
@@ -44,7 +49,6 @@ from repro.kronecker.likelihood import (
 from repro.kronecker.sampling import sample_skg
 from repro.native import chain as native_chain
 from repro.native.registry import (
-    KERNEL_BACKEND_ENV,
     KERNEL_THREADS_ENV,
     NATIVE_BACKENDS,
     resolve_kernel_threads,
@@ -55,12 +59,12 @@ def _backend_params() -> list:
     """One param per multichain engine; unavailable ones become skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_chain.multichain_backend_available(name):
+        if native_chain.CHAIN_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
             reason = (
                 f"{name} backend unavailable: "
-                f"{native_chain.multichain_backend_error(name)}"
+                f"{native_chain.CHAIN_KERNEL.error(name)}"
             )
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
@@ -203,56 +207,82 @@ class TestMultiChainMatrix:
             assert sampler.chain(s).accepted == solo[s].accepted
 
 
-class TestMultiChainBackendSelection:
-    def test_resolution_values(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_multichain_backend() in (
-            native_chain.available_multichain_backends()
-        )
-        assert native_chain.resolve_multichain_backend("numpy") == "numpy"
-        assert native_chain.resolve_multichain_backend("scipy") == "numpy"
+CEXT_AVAILABLE = native_chain.CHAIN_KERNEL.available("cext")
+needs_cext = pytest.mark.skipif(
+    not CEXT_AVAILABLE, reason="compiled chain kernel unavailable on this host"
+)
 
-    def test_numba_is_not_a_backend(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "numba")
-        with pytest.raises(ValidationError, match="must be one of auto"):
-            native_chain.resolve_multichain_backend()
 
-    def test_unavailable_cext_fails_loudly(self, monkeypatch):
-        monkeypatch.setitem(
-            native_chain.MULTICHAIN_KERNEL.states,
-            "cext",
-            (None, "no C compiler found"),
+def _final_state(sampler):
+    """Every chain's σ, histogram and acceptance count, as plain lists."""
+    return [
+        (
+            sampler.chain(s).sigma.tolist(),
+            sampler.chain(s).histogram().tolist(),
+            sampler.chain(s).accepted,
         )
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            native_chain.resolve_multichain_backend("cext")
+        for s in range(sampler.n_chains)
+    ]
+
+
+def _threaded_run_in_child(results):
+    sampler, _ = run_multichain("skg-k5", "cext", None, 4, threads=2)
+    results.put((sampler.threads, _final_state(sampler)))
+
+
+@needs_cext
+class TestChainKernelSeam:
+    def test_both_samplers_get_the_kernel_through_the_traced_name(
+        self, monkeypatch
+    ):
+        """perfbench times the chain by wrapping this one module-level
+        name; a sampler that bypassed it would read as zero kernel time."""
+        widths = []
+        original = likelihood.chain_kernel
+
+        def traced(name):
+            kernel = original(name)
+
+            def wrapped(*args):
+                widths.append(args[2])  # n_chains
+                return kernel(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(likelihood, "chain_kernel", traced)
         graph, k = family_graph("skg-k5")
-        with pytest.raises(ValidationError, match="no C compiler found"):
-            MultiChainSampler(graph, k, [THETA_CYCLE[0]], backend="cext")
+        solo = PermutationSampler(graph, k, THETA_CYCLE[0], backend="cext")
+        solo.run(20, np.random.default_rng(0))
+        batched = MultiChainSampler(graph, k, THETA_CYCLE, backend="cext")
+        batched.run(20, [np.random.default_rng(s) for s in range(3)])
+        assert widths == [1, 3]
 
-    def test_auto_silently_falls_back_to_numpy(self, monkeypatch):
-        for name in NATIVE_BACKENDS:
-            monkeypatch.setitem(
-                native_chain.MULTICHAIN_KERNEL.states,
-                name,
-                (None, f"{name} disabled"),
-            )
-        monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
-        assert native_chain.resolve_multichain_backend() == "numpy"
-        assert native_chain.available_multichain_backends() == ("numpy",)
-        graph, k = family_graph("near-empty-k3")
-        sampler = MultiChainSampler(graph, k, [THETA_CYCLE[1]])
-        assert sampler.backend == "numpy"
 
-    @pytest.mark.skipif(
-        not any(
-            native_chain.multichain_backend_available(name)
-            for name in NATIVE_BACKENDS
-        ),
-        reason="no fused multichain backend available on this host",
-    )
-    def test_auto_prefers_fused_backends(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_chain.resolve_multichain_backend() != "numpy"
+class TestForkSafety:
+    @needs_cext
+    def test_child_forked_after_a_threaded_call_finishes(self):
+        """libgomp cannot run a thread team in a child forked after the
+        parent ran one; the child must fall back to one thread and still
+        produce the serial result."""
+        threaded, _ = run_multichain("skg-k5", "cext", None, 2, threads=2)
+        assert threaded.threads == 2
+        serial, _ = run_multichain("skg-k5", "cext", None, 4, threads=1)
+        results = multiprocessing.get_context("fork").Queue()
+        child = multiprocessing.get_context("fork").Process(
+            target=_threaded_run_in_child, args=(results,)
+        )
+        child.start()
+        try:
+            threads, state = results.get(timeout=60)
+        except queue.Empty:
+            pytest.fail("forked child hung in its first threaded kernel call")
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert threads == 2
+        assert state == _final_state(serial)
 
 
 class TestKernelThreadsKnob:
@@ -276,6 +306,15 @@ class TestKernelThreadsKnob:
         monkeypatch.setenv(KERNEL_THREADS_ENV, "soon")
         with pytest.raises(ValidationError, match=KERNEL_THREADS_ENV):
             resolve_kernel_threads()
+
+    def test_threads_capped_at_the_chain_count(self, monkeypatch):
+        graph, k = family_graph("skg-k5")
+        thetas = THETA_CYCLE[:2]
+        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
+        assert MultiChainSampler(graph, k, thetas, threads=64).threads == 2
+        assert MultiChainSampler(graph, k, thetas, threads=1).threads == 1
+        monkeypatch.setenv(KERNEL_THREADS_ENV, "64")
+        assert MultiChainSampler(graph, k, thetas).threads == 2
 
 
 class TestMultiChainValidation:

@@ -34,12 +34,12 @@ def _backend_params() -> list:
     """One param per sampler engine; unavailable ones become visible skips."""
     params = [pytest.param("numpy")]
     for name in NATIVE_BACKENDS:
-        if native_sampling.sampler_backend_available(name):
+        if native_sampling.SAMPLER_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
             reason = (
                 f"{name} backend unavailable: "
-                f"{native_sampling.sampler_backend_error(name)}"
+                f"{native_sampling.SAMPLER_KERNEL.error(name)}"
             )
             params.append(pytest.param(name, marks=pytest.mark.skip(reason=reason)))
     return params
@@ -130,22 +130,22 @@ class TestSamplerMatrix:
 class TestSamplerBackendSelection:
     def test_resolution_values(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_sampling.resolve_sampler_backend() in (
-            native_sampling.available_sampler_backends()
+        assert native_sampling.SAMPLER_KERNEL.resolve() in (
+            native_sampling.SAMPLER_KERNEL.engines()
         )
-        assert native_sampling.resolve_sampler_backend("numpy") == "numpy"
+        assert native_sampling.SAMPLER_KERNEL.resolve("numpy") == "numpy"
         # One REPRO_KERNEL_BACKEND value drives all three kernel families,
         # so the counting knob's reference name aliases the sampler's.
-        assert native_sampling.resolve_sampler_backend("scipy") == "numpy"
+        assert native_sampling.SAMPLER_KERNEL.resolve("scipy") == "numpy"
 
     def test_environment_knob(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
-        assert native_sampling.resolve_sampler_backend() == "numpy"
+        assert native_sampling.SAMPLER_KERNEL.resolve() == "numpy"
 
     @pytest.mark.parametrize("name", ["fortran", "numba"])
     def test_invalid_name_rejected(self, name):
         with pytest.raises(ValidationError, match="kernel backend"):
-            native_sampling.resolve_sampler_backend(name)
+            native_sampling.SAMPLER_KERNEL.resolve(name)
 
     def test_unavailable_cext_fails_loudly(self, monkeypatch):
         monkeypatch.setitem(
@@ -154,7 +154,7 @@ class TestSamplerBackendSelection:
             (None, "no C compiler found"),
         )
         with pytest.raises(ValidationError, match="no C compiler found"):
-            native_sampling.resolve_sampler_backend("cext")
+            native_sampling.SAMPLER_KERNEL.resolve("cext")
         with pytest.raises(ValidationError, match="no C compiler found"):
             sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0, backend="cext")
 
@@ -166,18 +166,18 @@ class TestSamplerBackendSelection:
                 (None, f"{name} disabled"),
             )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
-        assert native_sampling.resolve_sampler_backend() == "numpy"
-        assert native_sampling.available_sampler_backends() == ("numpy",)
+        assert native_sampling.SAMPLER_KERNEL.resolve() == "numpy"
+        assert native_sampling.SAMPLER_KERNEL.engines() == ("numpy",)
         graph = sample_skg(Initiator(0.9, 0.5, 0.2), 4, seed=0)
         assert graph.n_nodes == 16
 
     @pytest.mark.skipif(
         not any(
-            native_sampling.sampler_backend_available(name)
+            native_sampling.SAMPLER_KERNEL.available(name)
             for name in NATIVE_BACKENDS
         ),
         reason="no fused sampler backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert native_sampling.resolve_sampler_backend() != "numpy"
+        assert native_sampling.SAMPLER_KERNEL.resolve() != "numpy"

@@ -18,8 +18,8 @@ from repro.errors import ValidationError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
+from repro.native.counting import COUNTING_KERNEL
 from repro.stats.kernels import (
-    available_kernel_backends,
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
@@ -53,7 +53,7 @@ class TestParallelTrianglePass:
             reference_max_common_neighbors(graph),
             reference_triangles_per_node(graph),
         )
-        for backend in available_kernel_backends():
+        for backend in COUNTING_KERNEL.engines():
             result = triangle_pass(graph, block_size=48, backend=backend, n_jobs=4)
             assert result.triangles == expected[0]
             assert result.max_common_neighbors == expected[1]

@@ -31,21 +31,15 @@ from repro.graphs import Graph
 from repro.graphs.generators import complete_graph, erdos_renyi_graph, star_graph
 from repro.kronecker.initiator import Initiator
 from repro.kronecker.sampling import sample_skg
-from repro.native.counting import (
-    COUNTING_KERNEL,
-    FUSED_BACKENDS,
-    backend_available,
-)
+from repro.native.counting import COUNTING_KERNEL, FUSED_BACKENDS
 from repro.stats.kernels import (
     KERNEL_BACKEND_ENV,
     TrianglePassResult,
-    available_kernel_backends,
     float64_conversion_count,
     kernel_pass_count,
     reference_count_triangles,
     reference_max_common_neighbors,
     reference_triangles_per_node,
-    resolve_kernel_backend,
     stats_context,
     triangle_pass,
 )
@@ -56,7 +50,7 @@ def _backend_params() -> list:
     """One param per backend; unavailable ones become visible skips."""
     params = []
     for name in ("scipy",) + FUSED_BACKENDS:
-        if name == "scipy" or backend_available(name):
+        if name == "scipy" or COUNTING_KERNEL.available(name):
             params.append(pytest.param(name))
         else:
             reason = f"{name} backend unavailable: {COUNTING_KERNEL.error(name)}"
@@ -169,18 +163,18 @@ class TestBackendFamilyMatrix:
 class TestBackendResolution:
     def test_default_resolves_to_an_available_backend(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert resolve_kernel_backend() in available_kernel_backends()
+        assert COUNTING_KERNEL.resolve() in COUNTING_KERNEL.engines()
 
     def test_scipy_is_always_available(self):
-        assert "scipy" in available_kernel_backends()
-        assert resolve_kernel_backend("scipy") == "scipy"
+        assert "scipy" in COUNTING_KERNEL.engines()
+        assert COUNTING_KERNEL.resolve("scipy") == "scipy"
 
     def test_numpy_aliases_the_reference_engine(self, monkeypatch):
         """The chain kernels call their reference 'numpy'; the counting
         resolution accepts it so one knob value drives both families."""
-        assert resolve_kernel_backend("numpy") == "scipy"
+        assert COUNTING_KERNEL.resolve("numpy") == "scipy"
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "numpy")
-        assert resolve_kernel_backend() == "scipy"
+        assert COUNTING_KERNEL.resolve() == "scipy"
         result = triangle_pass(family_graph("star"), 0, "numpy")
         assert_bit_identical(
             family_graph("star"), family_reference("star"), "numpy", 0
@@ -189,19 +183,19 @@ class TestBackendResolution:
 
     def test_environment_knob(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "scipy")
-        assert resolve_kernel_backend() == "scipy"
+        assert COUNTING_KERNEL.resolve() == "scipy"
 
     def test_empty_environment_value_means_auto(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "")
-        assert resolve_kernel_backend() in available_kernel_backends()
+        assert COUNTING_KERNEL.resolve() in COUNTING_KERNEL.engines()
 
     def test_explicit_argument_wins_over_environment(self, monkeypatch):
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
-        assert resolve_kernel_backend("scipy") == "scipy"
+        assert COUNTING_KERNEL.resolve("scipy") == "scipy"
 
     def test_invalid_argument_rejected(self):
         with pytest.raises(ValidationError, match="kernel backend"):
-            resolve_kernel_backend("fortran")
+            COUNTING_KERNEL.resolve("fortran")
 
     @pytest.mark.parametrize("name", ["fortran", "numba"])
     def test_invalid_environment_rejected(self, monkeypatch, name):
@@ -209,7 +203,7 @@ class TestBackendResolution:
         with pytest.raises(
             ValidationError, match=f"{KERNEL_BACKEND_ENV}.* must be one of"
         ):
-            resolve_kernel_backend()
+            COUNTING_KERNEL.resolve()
 
     def test_unavailable_cext_fails_loudly(self, monkeypatch):
         """REPRO_KERNEL_BACKEND=cext without a compiler is a clear, loud error."""
@@ -218,7 +212,7 @@ class TestBackendResolution:
         )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "cext")
         with pytest.raises(ValidationError, match="no C compiler found"):
-            resolve_kernel_backend()
+            COUNTING_KERNEL.resolve()
         with pytest.raises(ValidationError, match="no C compiler found"):
             triangle_pass(family_graph("star"))
 
@@ -236,18 +230,18 @@ class TestBackendResolution:
                 COUNTING_KERNEL.states, name, (None, f"{name} disabled")
             )
         monkeypatch.setenv(KERNEL_BACKEND_ENV, "auto")
-        assert resolve_kernel_backend() == "scipy"
-        assert available_kernel_backends() == ("scipy",)
+        assert COUNTING_KERNEL.resolve() == "scipy"
+        assert COUNTING_KERNEL.engines() == ("scipy",)
         graph = family_graph("clique")
         assert_bit_identical(graph, family_reference("clique"), None, 0)
 
     @pytest.mark.skipif(
-        not any(backend_available(name) for name in FUSED_BACKENDS),
+        not any(COUNTING_KERNEL.available(name) for name in FUSED_BACKENDS),
         reason="no fused backend available on this host",
     )
     def test_auto_prefers_fused_backends(self, monkeypatch):
         monkeypatch.delenv(KERNEL_BACKEND_ENV, raising=False)
-        assert resolve_kernel_backend() != "scipy"
+        assert COUNTING_KERNEL.resolve() != "scipy"
 
 
 class TestSpectralMemoization:

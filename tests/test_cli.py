@@ -222,12 +222,12 @@ class TestKernelBackendOption:
     def test_statistics_identical_for_any_backend(
         self, edge_list_file, capsys, monkeypatch
     ):
-        from repro.stats.kernels import available_kernel_backends
+        from repro.native.counting import COUNTING_KERNEL
 
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")  # see TestBlockSizeOption
         assert main(["summarize", str(edge_list_file)]) == 0
         default_output = capsys.readouterr().out
-        for backend in available_kernel_backends():
+        for backend in COUNTING_KERNEL.engines():
             code = main(
                 ["--kernel-backend", backend, "summarize", str(edge_list_file)]
             )
