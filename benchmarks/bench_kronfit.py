@@ -30,7 +30,14 @@ records two trajectories per workload:
   kernel's per-chain bit-identity contract).  The ≥ 2× batched-vs-
   fan-out floor is asserted exactly on single-core hosts — the
   complement of the pool floor above, closing its "skipped on 1-core
-  hosts" gap: every host now asserts one multi-start floor.
+  hosts" gap: every host now asserts one multi-start floor;
+* **kernel threads** — batched fits at ``kernel_threads`` ∈ {1, 2} ×
+  S ∈ {8, 64} on skg-k10 and skg-k16, at Table-1 chain lengths and at
+  the quick run's short ones, with the fitted result enforced
+  bit-identical across thread counts.  ``kernel_threads_crossover``
+  lists, per chain length, the (graph, S) cells where two threads beat
+  one: the measured answer to where ``REPRO_KERNEL_THREADS`` starts to
+  pay.
 
 Workloads: SKG draws at k ∈ {10, 12} and the ca-grqc dataset (the
 padded fit runs at k=13).  The k=12 draw asserts the floor: the best
@@ -79,8 +86,9 @@ from repro.native.registry import NATIVE_BACKENDS
 # the committed artifact in sync.  3 = added the large-k scale rows
 # (per-engine delta-scan fits at k ∈ {16, 18, 20}); 4 = added the
 # batched multichain column (``multichain`` workload rows at
-# S ∈ {8, 64} × kernel_threads ∈ {1, 2} plus ``multichain_floor``).
-SCHEMA_VERSION = 4
+# S ∈ {8, 64} × kernel_threads ∈ {1, 2} plus ``multichain_floor``);
+# 5 = added the ``kernel_threads`` rows and ``kernel_threads_crossover``.
+SCHEMA_VERSION = 5
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_kronfit.json"
 THETA = Initiator(0.99, 0.45, 0.25)  # the paper's synthetic initiator
@@ -101,6 +109,15 @@ BATCHED_QUICK_STARTS = (8,)
 BATCHED_THREADS = (1, 2)
 BATCHED_FANOUT_JOBS = 4
 BATCHED_FLOOR = 2.0
+
+# Kernel-thread rows: where a second OpenMP thread starts to pay.
+THREADS_GRAPHS = ("skg-k10", "skg-k16")
+THREADS_STARTS = (8, 64)
+THREADS_QUICK_STARTS = (8,)
+THREADS_COUNTS = (1, 2)
+# Two threads "pay" only when they beat one by this factor: a tie within
+# timing noise is not a crossover.
+THREADS_PAY_FACTOR = 1.1
 
 # Table-1-scale chain parameters: n_iterations × (warmup + samples ×
 # spacing) = 28 000 proposals per fit.
@@ -383,6 +400,72 @@ def bench_multichain(graph: Graph, repeats: int, fit_params: dict, quick: bool) 
     return records
 
 
+def bench_kernel_threads(
+    graph_name: str, graph: Graph, n_starts: int, chain: str, fit_params: dict,
+    repeats: int,
+) -> dict:
+    """One kernel-thread row: a batched S-chain fit per thread count.
+
+    Every thread count must fit the same winning start, initiator and
+    per-chain log-likelihoods (the kernel advances each chain on its own
+    stream, so threading changes only the wall-clock).
+    """
+    row: dict = {
+        "graph": graph_name,
+        "n_nodes": graph.n_nodes,
+        "n_starts": n_starts,
+        "chain": chain,
+        "params": fit_params,
+        "by_threads": {},
+    }
+    reference = None
+    for threads in THREADS_COUNTS:
+        estimator = KronFitEstimator(
+            initial=FIT_THETA,
+            seed=SEED,
+            backend=best_engine(),
+            n_starts=n_starts,
+            n_jobs=1,
+            multi_start="batched",
+            kernel_threads=threads,
+            **fit_params,
+        )
+        result = estimator.fit(graph)  # warm-up (loads the kernel)
+        if reference is None:
+            reference = result
+        elif (
+            result.start != reference.start
+            or result.initiator != reference.initiator
+            or result.start_log_likelihoods != reference.start_log_likelihoods
+        ):
+            raise AssertionError(
+                f"batched fit on {graph_name} (S={n_starts}) at kernel_threads="
+                f"{threads} diverges from kernel_threads={THREADS_COUNTS[0]}"
+            )
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            estimator.fit(graph)
+            best = min(best, time.perf_counter() - start)
+        row["by_threads"][str(threads)] = {"seconds": best, "bit_identical": True}
+    single = row["by_threads"][str(THREADS_COUNTS[0])]["seconds"]
+    for entry in row["by_threads"].values():
+        entry["speedup_vs_1"] = single / entry["seconds"]
+    return row
+
+
+def _kernel_threads_crossover(rows: list[dict]) -> dict:
+    """Per chain length, the cells where the most threads beat one by
+    ``THREADS_PAY_FACTOR``."""
+    most = str(THREADS_COUNTS[-1])
+    crossover: dict[str, list[str]] = {}
+    for row in rows:
+        cells = crossover.setdefault(row["chain"], [])
+        if row["by_threads"][most]["speedup_vs_1"] >= THREADS_PAY_FACTOR:
+            cells.append(f"{row['graph']} S={row['n_starts']}")
+    return crossover
+
+
 def bench_large_k(k: int, fit_params: dict) -> dict:
     """One large-k scale row: per-engine end-to-end fits on ``skg-k{k}``.
 
@@ -647,6 +730,37 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"{'':12s}   fit[{engine}]   unavailable: {entry['reason']}")
 
+    graphs = {
+        "skg-k10": sample_skg(THETA, 10, seed=SEED),  # the skg-k10 workload
+        "skg-k16": load_dataset("skg-k16"),
+    }
+    chains = {"quick": QUICK_FIT_PARAMS}
+    if not arguments.quick:
+        chains = {"table1": FIT_PARAMS, **chains}
+    threads_rows = []
+    for chain, params in chains.items():
+        for graph_name in THREADS_GRAPHS:
+            for n_starts in THREADS_QUICK_STARTS if arguments.quick else THREADS_STARTS:
+                row = bench_kernel_threads(
+                    graph_name, graphs[graph_name], n_starts, chain, params,
+                    arguments.repeats,
+                )
+                threads_rows.append(row)
+                print(
+                    f"{graph_name:12s}   threads[{chain}, S={n_starts}] "
+                    + "  ".join(
+                        f"{threads}: {entry['seconds'] * 1000:8.1f} ms"
+                        for threads, entry in row["by_threads"].items()
+                    )
+                    + f"  ({row['by_threads'][str(THREADS_COUNTS[-1])]['speedup_vs_1']:.2f}x)"
+                )
+    threads_crossover = _kernel_threads_crossover(threads_rows)
+    for chain, cells in threads_crossover.items():
+        print(
+            f"kernel_threads={THREADS_COUNTS[-1]} pays ({chain} chains): "
+            + (", ".join(cells) if cells else "never at these sizes")
+        )
+
     fused_floor = _fused_floor(results)
     multistart_floor = _multistart_floor(results, arguments.quick)
     multichain_floor = _multichain_floor(results, arguments.quick)
@@ -665,6 +779,8 @@ def main(argv: list[str] | None = None) -> int:
         "large_k_fit_floor": large_k_floor,
         "workloads": results,
         "large_k": large_k_rows,
+        "kernel_threads": threads_rows,
+        "kernel_threads_crossover": threads_crossover,
     }
     out_path = Path(arguments.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

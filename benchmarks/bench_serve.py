@@ -6,7 +6,10 @@ pool) and measures the request path end to end over HTTP:
 * **cold** — the first ``/fit`` for a model: admission, budget charge,
   estimator fit, cache store;
 * **warm** — the same request again, answered from the content-addressed
-  response cache (bit-identity enforced on every warm body);
+  response cache (bit-identity enforced on every warm body), one new
+  connection per request;
+* **keep-alive** — the same warm hits on one persistent connection, the
+  way a real client (and the serve-mix benchmark) sends them;
 * **sustained** — concurrent clients hammering cached endpoints, the
   throughput the registry sustains once models are fitted;
 * **mixed** — a concurrent mix of fit/sample/release against distinct
@@ -14,7 +17,11 @@ pool) and measures the request path end to end over HTTP:
 
 Floors (asserted on full runs, recorded always): the warm path must beat
 the cold fit by ``CACHE_SPEEDUP_FLOOR``x, and sustained cached
-throughput must clear ``THROUGHPUT_FLOOR`` requests/second.  Results are
+throughput must clear ``THROUGHPUT_FLOOR`` requests/second.  The
+keep-alive p50 must stay under ``KEEPALIVE_P50_FLOOR_MS``, asserted in
+quick runs too: a response written in two sends with Nagle's algorithm
+on waits about 40 ms for the client's delayed ACK, so a return of that
+stall fails the CI smoke run.  Results are
 written to ``benchmarks/out/BENCH_serve.json`` so serve-layer latency is
 a tracked artifact, not anecdote.
 
@@ -33,6 +40,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 from pathlib import Path
 
 try:
@@ -44,13 +52,15 @@ from repro.serve.config import ServeConfig
 from repro.serve.server import ServeRuntime
 
 # Bump when the JSON layout changes; tests/test_bench_artifacts.py keeps
-# the committed artifact in sync.
-SCHEMA_VERSION = 1
+# the committed artifact in sync.  2 = added the keep-alive section and
+# its floor.
+SCHEMA_VERSION = 2
 
 OUT_PATH = Path(__file__).parent / "out" / "BENCH_serve.json"
 DATASET = "as20"
 CACHE_SPEEDUP_FLOOR = 5.0  # warm hit must beat the cold fit by this factor
 THROUGHPUT_FLOOR = 20.0  # sustained cached requests/second, concurrent
+KEEPALIVE_P50_FLOOR_MS = 10.0  # warm hit p50 on one persistent connection
 PERCENTILES = (50, 90, 95, 99)
 
 
@@ -108,6 +118,33 @@ def bench_cold_vs_warm(base: str, warm_rounds: int) -> dict:
         "cache_speedup": cold_seconds * 1000 / warm["p50_ms"],
         "bit_identical": True,
     }
+
+
+def bench_keepalive(address: tuple[str, int], rounds: int) -> dict:
+    """``rounds`` warm hits on one persistent connection (bit-identity
+    enforced across every body)."""
+    payload = json.dumps({"dataset": DATASET, "method": "kronmom"})
+    headers = {"Content-Type": "application/json"}
+    connection = HTTPConnection(*address, timeout=60)
+    samples = []
+    first_body = None
+    try:
+        for _round in range(rounds + 1):
+            start = time.perf_counter()
+            connection.request("POST", "/fit", body=payload, headers=headers)
+            response = connection.getresponse()
+            body = response.read()
+            seconds = time.perf_counter() - start
+            assert response.status == 200
+            assert response.getheader("X-Repro-Cache") == "hit"
+            if first_body is None:
+                first_body = body  # the connection's first request: not timed
+                continue
+            assert body == first_body, "cached response is not bit-identical"
+            samples.append(seconds)
+    finally:
+        connection.close()
+    return {"latency": summarize_ms(samples), "bit_identical": True}
 
 
 def bench_sustained(base: str, clients: int, requests_per_client: int) -> dict:
@@ -194,7 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke subset (fewer rounds/clients); skips the floor assertions",
+        help=(
+            "CI smoke subset (fewer rounds/clients); asserts only the "
+            "keep-alive floor"
+        ),
     )
     parser.add_argument(
         "--out",
@@ -238,6 +278,12 @@ def main(argv: list[str] | None = None) -> int:
             f"cache speedup {cold_warm['cache_speedup']:.1f}x"
         )
 
+        keepalive = bench_keepalive(runtime.address, warm_rounds)
+        print(
+            f"keep-alive warm p50 {keepalive['latency']['p50_ms']:6.2f} ms  "
+            f"p90 {keepalive['latency']['p90_ms']:6.2f} ms"
+        )
+
         sustained = bench_sustained(base, clients, requests_per_client)
         print(
             f"sustained  {sustained['clients']} clients x "
@@ -265,6 +311,7 @@ def main(argv: list[str] | None = None) -> int:
             "n_jobs": config.n_jobs,
         },
         "cold_vs_warm": cold_warm,
+        "keepalive": keepalive,
         "sustained": sustained,
         "mixed": mixed,
         "server_stats": stats,
@@ -276,12 +323,22 @@ def main(argv: list[str] | None = None) -> int:
             "required": THROUGHPUT_FLOOR,
             "measured": sustained["throughput_rps"],
         },
+        "keepalive_floor": {
+            "required_max_p50_ms": KEEPALIVE_P50_FLOOR_MS,
+            "measured": keepalive["latency"]["p50_ms"],
+        },
     }
     out_path = Path(arguments.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"[written to {out_path}]")
 
+    keepalive_p50 = keepalive["latency"]["p50_ms"]
+    assert keepalive_p50 <= KEEPALIVE_P50_FLOOR_MS, (
+        f"keep-alive warm p50 {keepalive_p50:.1f} ms is above the "
+        f"{KEEPALIVE_P50_FLOOR_MS} ms floor (a delayed-ACK stall is about 40 ms)"
+    )
+    print(f"floor: keep-alive p50 {keepalive_p50:.2f} <= {KEEPALIVE_P50_FLOOR_MS} ms")
     if not arguments.quick:
         assert cold_warm["cache_speedup"] >= CACHE_SPEEDUP_FLOOR, (
             f"cache speedup {cold_warm['cache_speedup']:.1f}x is below the "

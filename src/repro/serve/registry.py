@@ -14,6 +14,14 @@ budget, seed, params):
   keyed lock, so the fit — and its budget charge — happens exactly once
   while the losers wait and read the winner's result.
 
+What it keeps of an SKG fit (KronFit, KronMom, Private) is only the
+released view, :class:`ReleasedModel` — method, initiator, k and ε —
+which is all a response reads or samples from.  The whole Private fit
+result carries its degree-release arrays (about 105 KB pickled on as20,
+1 MB on skg-k16); the view is a few hundred bytes, in memory, on disk
+and on the way back from a pool worker.  A degree-sequence model stays
+whole: sampling from it needs its degrees.
+
 The budget charge happens *before* the fit executes (before any noise is
 drawn), through the accountant's atomic check-and-spend; an over-budget
 request dies with :class:`~repro.errors.PrivacyBudgetError` having
@@ -42,19 +50,24 @@ import numpy as np
 
 from repro.core.protocols import FittedModel, build_estimator, estimator_method
 from repro.graphs.datasets import load_dataset
+from repro.graphs.graph import Graph
+from repro.kronecker.initiator import Initiator
 from repro.runtime.cache import TrialCache
 from repro.runtime.engine import persistent_executor, shutdown_pool
 from repro.runtime.faults import CRASH_EXIT_CODE
 from repro.runtime.hashing import stable_hash
 from repro.serve.admission import KeyedLocks
 from repro.utils.logging import get_logger
+from repro.utils.rng import SeedLike
 
-__all__ = ["ModelSpec", "ModelRegistry", "execute_work"]
+__all__ = ["ModelSpec", "ModelRegistry", "ReleasedModel", "execute_work"]
 
 _logger = get_logger(__name__)
 
 # Version tag folded into every registry cache key: bump to invalidate
-# persisted fitted models when their layout changes incompatibly.
+# persisted fitted models when their layout changes incompatibly.  The
+# key also seeds every sample batch (``spec.token()``), so a bump changes
+# every ``/sample`` and ``/release`` body.
 _MODEL_KEY_VERSION = 1
 
 
@@ -128,6 +141,41 @@ def execute_work(
         return result
 
 
+@dataclass(frozen=True)
+class ReleasedModel:
+    """The released view of an SKG fit: what serving reads and samples.
+
+    Samples exactly like the fit result it was taken from (both draw
+    ``initiator.sample(k, seed=seed)``), and ``epsilon`` is the fit's
+    ``float(model.epsilon)``, so a response built from the view is
+    byte-identical to one built from the whole result.
+    """
+
+    method: str
+    initiator: Initiator
+    k: int
+    epsilon: float
+
+    @classmethod
+    def of(cls, model: FittedModel) -> "ReleasedModel":
+        return cls(
+            method=model.method,
+            initiator=model.initiator,
+            k=model.k,
+            epsilon=float(model.epsilon),
+        )
+
+    def sample_graph(self, seed: SeedLike = None) -> Graph:
+        return self.initiator.sample(self.k, seed=seed)
+
+
+def _released(model: FittedModel) -> FittedModel:
+    """What the registry keeps of ``model``: its released view if it has one."""
+    if getattr(model, "initiator", None) is None or getattr(model, "k", None) is None:
+        return model
+    return ReleasedModel.of(model)
+
+
 def _fit_work(
     *,
     dataset: str,
@@ -137,12 +185,16 @@ def _fit_work(
     seed: int,
     params: tuple,
 ) -> FittedModel:
-    """Fit one model (module-level: ships to pool workers by name)."""
+    """Fit one model and return what the registry keeps of it.
+
+    Module-level, so it ships to pool workers by name; taking the
+    released view here also keeps the whole fit result off the pipe.
+    """
     graph = load_dataset(dataset)
     estimator = build_estimator(
         method, dict(params), epsilon=epsilon, delta=delta, seed=seed
     )
-    return estimator.fit(graph)
+    return _released(estimator.fit(graph))
 
 
 def _sample_work(*, model: FittedModel, count: int, entropy: int) -> list[dict]:
@@ -277,7 +329,9 @@ class ModelRegistry:
                 hit, value = self._cache.load(token)
                 if hit:
                     # A persisted fit: its budget charge is in the
-                    # restored ledger, so reusing it is free.
+                    # restored ledger, so reusing it is free.  Older
+                    # caches hold the whole fit result; keep its view.
+                    value = _released(value)
                     with self._lock:
                         self._models[token] = value
                         self._restored += 1

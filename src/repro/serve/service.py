@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -71,6 +72,12 @@ _logger = get_logger(__name__)
 
 # Version tag in every response-cache key: bump when body layout changes.
 _RESPONSE_KEY_VERSION = 1
+
+# Bodies kept in memory, least recently used evicted first.  A body is
+# about 1 KB, so the full memory is a few MB.  An evicted body is served
+# again from the disk cache, or recomputed from its (still registered)
+# model: the same bytes, and no new budget charge.
+_RESPONSE_MEMORY_LIMIT = 4096
 
 # Lowercase request tokens -> estimator registry names.  ``Fixed`` is
 # deliberately not servable: it ignores the dataset, so it has no place
@@ -116,7 +123,7 @@ class SynthesisService:
             accountants=self.accountants, executor=self._run_work, cache=cache
         )
         self._response_cache = cache
-        self._response_memory: dict[str, dict] = {}
+        self._response_memory: OrderedDict[str, dict] = OrderedDict()
         self._response_locks = KeyedLocks()
         self._lock = threading.Lock()
         self._work_sequence = 0
@@ -124,6 +131,7 @@ class SynthesisService:
         self._by_status: dict[int, int] = {}
         self._cache_hits = 0
         self._cache_misses = 0
+        self._responses_evicted = 0
         self._draining = False
 
     # ------------------------------------------------------------------
@@ -301,21 +309,28 @@ class SynthesisService:
     def _probe_response(self, key: str) -> dict | None:
         with self._lock:
             body = self._response_memory.get(key)
-        if body is not None:
-            return body
+            if body is not None:
+                self._response_memory.move_to_end(key)
+                return body
         if self._response_cache is not None:
             hit, value = self._response_cache.load(key)
             if hit:
-                with self._lock:
-                    self._response_memory[key] = value
+                self._remember(key, value)
                 return value
         return None
 
     def _store_response(self, key: str, body: dict) -> None:
-        with self._lock:
-            self._response_memory[key] = body
+        self._remember(key, body)
         if self._response_cache is not None:
             self._response_cache.store(key, body)
+
+    def _remember(self, key: str, body: dict) -> None:
+        with self._lock:
+            self._response_memory[key] = body
+            self._response_memory.move_to_end(key)
+            while len(self._response_memory) > _RESPONSE_MEMORY_LIMIT:
+                self._response_memory.popitem(last=False)
+                self._responses_evicted += 1
 
     def _compute(self, endpoint: str, canonical: tuple, faults: RequestFaults) -> dict:
         request = dict(canonical)
@@ -509,6 +524,7 @@ class SynthesisService:
                 "hits": self._cache_hits,
                 "misses": self._cache_misses,
                 "cached": len(self._response_memory),
+                "evicted": self._responses_evicted,
             }
         return {
             "status": "draining" if self.draining else "ok",

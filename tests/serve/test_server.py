@@ -6,8 +6,10 @@ import json
 import os
 import signal
 import threading
+import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -73,6 +75,38 @@ class TestTransport:
         )
         assert status == 403
         assert body["error"]["code"] == "budget-exhausted"
+
+
+class TestKeepAlive:
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, runtime):
+        """20 requests on one connection finish far below 20 × 40 ms.
+
+        With Nagle's algorithm on, the body write waits for the ACK of
+        the header write, which the client delays by about 40 ms.
+        """
+        host, port = runtime.address
+        connection = HTTPConnection(host, port, timeout=30)
+        payload = json.dumps({"dataset": "as20", "method": "kronmom"})
+        headers = {"Content-Type": "application/json"}
+
+        def batch(verb: str, path: str, body=None) -> float:
+            start = time.perf_counter()
+            for _ in range(20):
+                connection.request(verb, path, body=body, headers=headers)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            return time.perf_counter() - start
+
+        try:
+            connection.request("POST", "/fit", body=payload, headers=headers)
+            first = connection.getresponse()
+            first.read()
+            assert first.getheader("X-Repro-Cache") == "miss"
+            assert batch("GET", "/healthz") < 0.4
+            assert batch("POST", "/fit", payload) < 0.4
+        finally:
+            connection.close()
 
 
 class TestLifecycle:

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.serve import service as service_module
 from repro.serve.service import SynthesisService
 
 from serve_helpers import make_config
@@ -126,6 +127,44 @@ class TestFitAndCaching:
         # the cached response did not add another (accountants load
         # lazily, so probe the dataset explicitly).
         assert len(reborn.accountants.for_dataset("as20").ledger) == 1
+
+
+class TestResponseMemory:
+    def test_evicted_release_is_recomputed_identically_without_a_charge(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "_RESPONSE_MEMORY_LIMIT", 2)
+        service = SynthesisService(make_config())
+        release = {"dataset": "as20", "count": 1}
+        cold = service.handle("POST", "/release", release)
+        assert cold.status == 200
+        assert service.handle("POST", "/fit", fit_request()).status == 200
+        assert service.handle("POST", "/sample", fit_request(count=1)).status == 200
+        responses = service.handle("GET", "/stats").body["responses"]
+        assert (responses["cached"], responses["evicted"]) == (2, 1)
+        ledger = list(service.accountants.for_dataset("as20").ledger)
+
+        again = service.handle("POST", "/release", release)
+        assert again.status == 200
+        assert again.headers["X-Repro-Cache"] == "miss"
+        assert render(again) == render(cold)
+        # The model is still registered: recomputing charged nothing.
+        assert list(service.accountants.for_dataset("as20").ledger) == ledger
+        stats = service.handle("GET", "/stats").body
+        assert stats["models"]["fitted"] == 2
+        assert stats["responses"]["evicted"] == 2
+
+    def test_a_hit_makes_a_response_most_recently_used(self, monkeypatch):
+        monkeypatch.setattr(service_module, "_RESPONSE_MEMORY_LIMIT", 2)
+        service = SynthesisService(make_config())
+        first, second, third = (fit_request(seed=seed) for seed in (1, 2, 3))
+        service.handle("POST", "/fit", first)
+        service.handle("POST", "/fit", second)
+        assert service.handle("POST", "/fit", first).headers["X-Repro-Cache"] == "hit"
+        service.handle("POST", "/fit", third)
+        # ``second`` was the least recently used, so it went first.
+        assert service.handle("POST", "/fit", first).headers["X-Repro-Cache"] == "hit"
+        assert service.handle("POST", "/fit", second).headers["X-Repro-Cache"] == "miss"
 
 
 class TestSampling:

@@ -246,6 +246,21 @@ class TestBenchArtifactSchema:
         assert report["sustained"]["clients"] >= 8
         assert report["sustained"]["throughput_rps"] > 0
 
+    def test_serve_artifact_records_keepalive_floor(self):
+        """Schema 2 added warm hits on one persistent connection: their
+        p50 must sit under the floor, far below a 40 ms delayed-ACK
+        stall."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_serve.json").read_text(encoding="utf-8")
+        )
+        latency = report["keepalive"]["latency"]
+        assert {"p50_ms", "p90_ms"} <= set(latency)
+        assert report["keepalive"]["bit_identical"] is True
+        floor = report["keepalive_floor"]
+        assert floor["required_max_p50_ms"] == 10.0
+        assert floor["measured"] == latency["p50_ms"]
+        assert floor["measured"] <= floor["required_max_p50_ms"]
+
     def test_stats_artifact_records_large_k_rows(self):
         """Schema 3 added the large-k scale rows: sampler engine
         trajectory (bit-identity enforced by the bench) plus the KronMom
@@ -340,6 +355,36 @@ class TestBenchArtifactSchema:
         # The two multi-start floors partition hosts by core count:
         # exactly one must be asserted in a committed (full) artifact.
         assert report["multistart_floor"]["asserted"] != floor["asserted"]
+
+    def test_kronfit_artifact_records_kernel_thread_rows(self):
+        """Schema 5 added batched fits at kernel_threads ∈ {1, 2} ×
+        S ∈ {8, 64} on skg-k10 and skg-k16, at Table-1 and quick chain
+        lengths, and the crossover they imply."""
+        report = json.loads(
+            (OUT_DIR / "BENCH_kronfit.json").read_text(encoding="utf-8")
+        )
+        rows = report["kernel_threads"]
+        cells = {(row["chain"], row["graph"], row["n_starts"]) for row in rows}
+        assert cells == {
+            (chain, graph, starts)
+            for chain in ("table1", "quick")
+            for graph in ("skg-k10", "skg-k16")
+            for starts in (8, 64)
+        }
+        for row in rows:
+            assert set(row["by_threads"]) == {"1", "2"}
+            for entry in row["by_threads"].values():
+                assert entry["bit_identical"] is True
+                assert entry["seconds"] > 0
+        crossover = report["kernel_threads_crossover"]
+        assert set(crossover) == {"table1", "quick"}
+        for chain, paying in crossover.items():
+            assert paying == [
+                f"{row['graph']} S={row['n_starts']}"
+                for row in rows
+                if row["chain"] == chain
+                and row["by_threads"]["2"]["speedup_vs_1"] >= 1.1
+            ]
 
     def test_trajectory_gate_covers_multichain_headline(self):
         """The batched multichain headline participates in the gate;
